@@ -15,7 +15,7 @@ store = init_params(cfg, seed=0)
 
 print("default model:", cfg.image_size, "px, patch", cfg.patch_size,
       "->", cfg.num_patches, "patches, width", cfg.embed_dim)
-counts = m.count_params(store)
+counts = store.count_by_group()
 total = sum(counts.values())
 for group, n in sorted(counts.items()):
     print(f"  {group:<10} {n:>8,}  ({n / total:.1%})")

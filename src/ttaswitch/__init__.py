@@ -16,9 +16,9 @@ from .checkpoint import load_checkpoint, save_checkpoint
 from .harness import (MODES, PER_INSTANCE_COLUMNS, RunConfig, RunResult,
                       load_config, measure_throughput, parse_config_text,
                       round_summary, run_experiment, run_mode_comparison)
-from .metrics import compute_error_rate, compute_miou
-from .model import (ModelConfig, PatchMask, apply_mask, count_params, draw_mask,
-                    encode, init_params, insert_adapters, predict)
+from .metrics import compute_miou
+from .model import (ModelConfig, PatchMask, apply_mask, draw_mask, encode, init_params,
+                    insert_adapters, predict)
 from .params import GROUPS, ParamStore
 from .source import SourceBatch, make_source_scenes, source_step, train_source
 from .streams import (CORRUPTIONS, CorruptionSpec, Scene, SceneSpec, StreamInstance,
@@ -33,13 +33,11 @@ __all__ = [
     "PER_INSTANCE_COLUMNS", "ParamStore", "PatchMask", "RunConfig", "RunResult",
     "SKIP", "Scene", "SceneSpec", "ShapeError", "SourceBatch", "StepReport",
     "StreamInstance", "Tape", "Tensor", "apply_corruption", "apply_mask",
-    "backward", "build_stream", "compute_error_rate", "compute_miou",
-    "count_params", "decide_shift", "detect_shift", "draw_mask", "ema_update",
-    "encode",
-    "generate_scene", "init_adaptation", "init_params", "insert_adapters",
-    "load_checkpoint", "load_config", "make_source_scenes", "measure_throughput",
-    "parse_config_text", "predict", "recording", "round_summary",
-    "run_experiment", "run_mode_comparison", "save_checkpoint", "source_step",
-    "stream_from_manifest", "stream_manifest", "train_source",
-    "update_threshold", "write_manifest",
+    "backward", "build_stream", "compute_miou", "decide_shift", "detect_shift",
+    "draw_mask", "ema_update", "encode", "generate_scene", "init_adaptation",
+    "init_params", "insert_adapters", "load_checkpoint", "load_config",
+    "make_source_scenes", "measure_throughput", "parse_config_text", "predict",
+    "recording", "round_summary", "run_experiment", "run_mode_comparison",
+    "save_checkpoint", "source_step", "stream_from_manifest", "stream_manifest",
+    "train_source", "update_threshold", "write_manifest",
 ]

@@ -49,9 +49,10 @@ from .autodiff import NonFiniteError, Optimizer, Tape, Tensor
 from .params import ParamStore
 
 FT = "FT"      # full tuning: every parameter group
-ET = "ET"      # efficient tuning: adapters only (configurable)
+ET = "ET"      # efficient tuning: the ET_GROUPS only
 SKIP = "SKIP"  # quarantined non-finite instance; no state change
 
+ET_GROUPS = ("adapter",)
 TEACHER_GROUPS = ("backbone", "adapter", "seg_head")
 
 SHIFT_Z = 4.0  # z-score of an input statistic that marks a domain shift
@@ -170,11 +171,8 @@ class AdaptationEngine:
 
     def __init__(self, params: ParamStore, config: m.ModelConfig, *, lr: float = 1e-4,
                  alpha: float = 0.999, alpha_l: float = 0.9,
-                 optimizer_kind: str = "adam", et_groups=("adapter",),
-                 ft_lr_mult: float = 1.0, decision_fn=None, mask_seed: int = 0,
+                 optimizer_kind: str = "adam", decision_fn=None, mask_seed: int = 0,
                  clock=time.perf_counter):
-        if config.task != "segmentation":
-            raise ValueError("adaptation requires task='segmentation'")
         if not 0.0 <= alpha <= 1.0 or not 0.0 <= alpha_l <= 1.0:
             raise ValueError("alpha and alpha_l must lie in [0, 1]")
         self.student = params
@@ -183,11 +181,6 @@ class AdaptationEngine:
         self.alpha = float(alpha)
         self.alpha_l = float(alpha_l)
         self.ft_groups = tuple(params.groups_present())
-        self.et_groups = tuple(et_groups)
-        for g in self.et_groups:
-            if g not in self.ft_groups:
-                raise ValueError(f"efficient-tuning group '{g}' not present in parameters")
-        self.ft_lr_mult = float(ft_lr_mult)
         self.decision_fn = decision_fn
         self.mask_seed = int(mask_seed)
         self.clock = clock
@@ -242,9 +235,9 @@ class AdaptationEngine:
                 if self.decision_fn is not None:
                     use_ft = bool(self.decision_fn(float(loss_seg.data), self.tau))
                 ad.backward(loss_total)
-            groups = self.ft_groups if use_ft else self.et_groups
-            lr = self.lr * self.ft_lr_mult if use_ft else self.lr
-            self.optimizer.step(self.student, groups, lr)
+            tape.nodes.clear()   # break the tape -> node -> tensor -> tape cycle now
+            self.optimizer.step(self.student, self.ft_groups if use_ft else ET_GROUPS,
+                                self.lr)
         except NonFiniteError:
             self.student.zero_grad()
             self.skipped += 1

@@ -362,28 +362,6 @@ def mean(a, axis: int | None = None) -> Tensor:
     return _emit("mean", (a,), out, vjp)
 
 
-def gather_rows(a, indices) -> Tensor:
-    """Select rows of a rank>=1 tensor by an integer index vector."""
-    a = as_tensor(a)
-    idx = np.asarray(indices)
-    if idx.ndim != 1 or not np.issubdtype(idx.dtype, np.integer):
-        raise ShapeError("gather_rows: indices must be a 1-D integer array")
-    n = a.data.shape[0] if a.ndim >= 1 else 0
-    if a.ndim < 1:
-        raise ShapeError("gather_rows: rank >= 1 required")
-    if idx.size and (idx.min() < 0 or idx.max() >= n):
-        raise ValueError(f"gather_rows: index out of range [0, {n})")
-    src_shape = a.data.shape
-    idx = idx.copy()
-
-    def vjp(g):
-        z = np.zeros(src_shape)
-        np.add.at(z, idx, g)
-        return (z,)
-
-    return _emit("gather_rows", (a,), a.data[idx], vjp)
-
-
 # ---------------------------------------------------------------------------
 # losses
 # ---------------------------------------------------------------------------
@@ -461,30 +439,6 @@ def l1_masked(pred, target, mask) -> Tensor:
         return gp, -gp, None
 
     return _emit("l1_masked", (pred, target, mask), out, vjp)
-
-
-PRIMITIVES: dict[str, Callable] = {
-    "matmul": matmul,
-    "add": add,
-    "mul": mul,
-    "scalar_mul": scalar_mul,
-    "reshape": reshape,
-    "transpose": transpose,
-    "gelu": gelu,
-    "relu": relu,
-    "layer_norm": layer_norm,
-    "softmax_lastdim": softmax_lastdim,
-    "mean": mean,
-    "gather_rows": gather_rows,
-}
-
-
-def primitive_forward(op: str, *args, **kwargs) -> Tensor:
-    """Apply a primitive by name. Unknown names are an error."""
-    fn = PRIMITIVES.get(op)
-    if fn is None:
-        raise ValueError(f"unknown primitive '{op}'")
-    return fn(*args, **kwargs)
 
 
 # ---------------------------------------------------------------------------

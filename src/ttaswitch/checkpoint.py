@@ -32,7 +32,7 @@ from .model import ModelConfig
 from .params import GROUPS, ParamStore
 
 MAGIC = b"HTTA"
-VERSION = 1
+VERSION = 2
 GROUP_CODES = {g: i for i, g in enumerate(GROUPS)}
 CODE_GROUPS = {i: g for g, i in GROUP_CODES.items()}
 _DTYPE_F64 = 0

@@ -53,8 +53,6 @@ class RunConfig:
     lr_source: float = 1e-3
     lr_tta: float = 1e-4
     optimizer: str = "adam"
-    et_groups: tuple = ("adapter",)
-    ft_lr_mult: float = 1.0
     mode: str = "hybrid"
     domains: tuple = ("fog", "night", "rain", "snow")
     per_domain: int = 40
@@ -79,12 +77,9 @@ class RunConfig:
                          num_classes=self.num_classes)
 
 
-_LIST_KEYS = ("et_groups", "domains")
-
-
 def _parse_value(key: str, raw: str, kind, lineno: int):
     try:
-        if key in _LIST_KEYS:
+        if key == "domains":
             items = tuple(part.strip() for part in raw.split(",") if part.strip())
             if not items:
                 raise ValueError("empty list")
@@ -141,8 +136,10 @@ def validate_config(cfg: RunConfig) -> None:
         raise ValueError("severity must lie in [0, 1]")
     if cfg.source_scenes < 1 or cfg.batch_size < 1 or cfg.source_epochs < 0:
         raise ValueError("source_scenes/batch_size must be >= 1, source_epochs >= 0")
-    if cfg.lr_source <= 0 or cfg.lr_tta <= 0 or cfg.ft_lr_mult <= 0:
-        raise ValueError("learning rates and ft_lr_mult must be positive")
+    if cfg.lr_source <= 0 or cfg.lr_tta <= 0:
+        raise ValueError("learning rates must be positive")
+    if not 0.0 <= cfg.alpha <= 1.0 or not 0.0 <= cfg.alpha_l <= 1.0:
+        raise ValueError("alpha and alpha_l must lie in [0, 1]")
     cfg.model_config()   # triggers the model-side field validation
     cfg.scene_spec()
 
@@ -186,14 +183,8 @@ def _write_csv(path: Path, columns, rows) -> None:
             writer.writerow([_fmt(row[c]) for c in columns])
 
 
-def _decision_fn_for(mode: str):
-    if mode == "hybrid":
-        return None
-    if mode == "ft-only":
-        return lambda loss, tau: True
-    if mode == "et-only":
-        return lambda loss, tau: False
-    raise ValueError(f"no decision function for mode '{mode}'")
+# fixed tuning decisions of the baseline modes; hybrid uses the engine's detector
+_DECISION_FNS = {"ft-only": lambda loss, tau: True, "et-only": lambda loss, tau: False}
 
 
 def run_experiment(cfg: RunConfig, checkpoint_path, out_dir=None,
@@ -220,8 +211,7 @@ def run_experiment(cfg: RunConfig, checkpoint_path, out_dir=None,
                          f"run config {expected}")
     engine = init_adaptation(params, expected, lr=cfg.lr_tta, alpha=cfg.alpha,
                              alpha_l=cfg.alpha_l, optimizer_kind=cfg.optimizer,
-                             et_groups=cfg.et_groups, ft_lr_mult=cfg.ft_lr_mult,
-                             decision_fn=_decision_fn_for(cfg.mode) if cfg.mode != "no-adapt" else None,
+                             decision_fn=_DECISION_FNS.get(cfg.mode),
                              mask_seed=cfg.seed, clock=clock)
     stream = build_stream(cfg.scene_spec(), cfg.domains, cfg.per_domain, cfg.rounds,
                           cfg.seed, cfg.severity)

@@ -1,4 +1,4 @@
-"""Evaluation metrics: mean intersection-over-union and error rate."""
+"""Evaluation metric: per-class mean intersection-over-union."""
 from __future__ import annotations
 
 import numpy as np
@@ -28,13 +28,3 @@ def compute_miou(gts, preds) -> float:
         ious.append(inter / union)
     return float(np.mean(ious))
 
-
-def compute_error_rate(gts, preds) -> float:
-    """Fraction of positions where prediction and ground truth disagree."""
-    gts = np.asarray(gts)
-    preds = np.asarray(preds)
-    if gts.size == 0:
-        raise ValueError("compute_error_rate: empty input")
-    if gts.shape != preds.shape:
-        raise ValueError(f"compute_error_rate: shape mismatch {gts.shape} vs {preds.shape}")
-    return float(np.count_nonzero(gts != preds) / gts.size)

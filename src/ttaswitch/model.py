@@ -6,9 +6,9 @@ carries a parallel adapter branch (down-project, ReLU, up-project, scale)
 added to the MLP output; the up-projection starts at zero so a freshly
 inserted adapter leaves the function unchanged.
 
-Decoders: per-patch segmentation logits, per-pixel reconstruction, and an
-optional mean-pooled classification head. Masking replaces whole patches
-with a learnable mask token at input-pixel level.
+The model is segmentation-only. Two decoders share the encoder output:
+per-patch segmentation logits and per-pixel reconstruction. Masking
+replaces whole patches with a learnable mask token at input-pixel level.
 """
 from __future__ import annotations
 
@@ -26,7 +26,6 @@ from .autodiff import (
     gelu,
     layer_norm,
     matmul,
-    mean,
     mul,
     relu,
     reshape,
@@ -37,7 +36,6 @@ from .autodiff import (
 )
 from .params import ParamStore
 
-TASKS = ("segmentation", "classification")
 MLP_RATIO = 4
 
 
@@ -53,7 +51,6 @@ class ModelConfig:
     adapter_dim: int = 45
     adapter_scale: float = 0.1
     mask_ratio: float = 0.6
-    task: str = "segmentation"
 
     def __post_init__(self):
         if self.image_size < 1 or self.patch_size < 1:
@@ -73,8 +70,6 @@ class ModelConfig:
             raise ValueError("adapter_dim must be >= 1 (adapters are always present)")
         if not 0.0 <= self.mask_ratio < 1.0:
             raise ValueError("mask_ratio must lie in [0, 1)")
-        if self.task not in TASKS:
-            raise ValueError(f"unknown task '{self.task}' (expected one of {TASKS})")
 
     @property
     def grid(self) -> int:
@@ -124,11 +119,7 @@ def parameter_names(config: ModelConfig, include_adapters: bool = True) -> list[
         names += [pre + f"mlp.{w}" for w in ("w1", "b1", "w2", "b2")]
         if include_adapters:
             names += _adapter_names(i)
-    names += ["final_ln.g", "final_ln.b"]
-    if config.task == "segmentation":
-        names += ["seg_head.w", "seg_head.b"]
-    else:
-        names += ["clf_head.w", "clf_head.b"]
+    names += ["final_ln.g", "final_ln.b", "seg_head.w", "seg_head.b"]
     names += ["rec_head.w", "rec_head.b", "mask_token"]
     return names
 
@@ -162,12 +153,8 @@ def init_params(config: ModelConfig, seed: int = 0, include_adapters: bool = Tru
             _add_adapter(store, config, i, rng)
     p("final_ln.g", np.ones(d), "backbone")
     p("final_ln.b", np.zeros(d), "backbone")
-    if config.task == "segmentation":
-        p("seg_head.w", _normal(rng, (d, config.num_classes)), "seg_head")
-        p("seg_head.b", np.zeros(config.num_classes), "seg_head")
-    else:
-        p("clf_head.w", _normal(rng, (d, config.num_classes)), "seg_head")
-        p("clf_head.b", np.zeros(config.num_classes), "seg_head")
+    p("seg_head.w", _normal(rng, (d, config.num_classes)), "seg_head")
+    p("seg_head.b", np.zeros(config.num_classes), "seg_head")
     p("rec_head.w", _normal(rng, (d, config.patch_dim)), "rec_head")
     p("rec_head.b", np.zeros(config.patch_dim), "rec_head")
     p("mask_token", _normal(rng, (config.channels, config.patch_size, config.patch_size)),
@@ -197,10 +184,6 @@ def insert_adapters(store: ParamStore, config: ModelConfig, seed: int = 0) -> Pa
             raise ValueError(f"block {i} already has adapter parameters")
         _add_adapter(store, config, i, rng)
     return store
-
-
-def count_params(store: ParamStore) -> dict[str, int]:
-    return store.count_by_group()
 
 
 def adapter_fraction(store: ParamStore) -> float:
@@ -390,8 +373,6 @@ def encode(x, params: ParamStore, config: ModelConfig) -> Tensor:
 
 def seg_decode(z, params: ParamStore, config: ModelConfig) -> Tensor:
     """Per-patch class logits [num_patches, num_classes]."""
-    if config.task != "segmentation":
-        raise ValueError(f"seg_decode requires task='segmentation', config says '{config.task}'")
     return add(matmul(z, params["seg_head.w"]), params["seg_head.b"])
 
 
@@ -404,27 +385,12 @@ def rec_decode(z, params: ParamStore, config: ModelConfig) -> Tensor:
     return unpatchify(tokens, config.channels, config.image_size, config.patch_size)
 
 
-def clf_head(z, params: ParamStore, config: ModelConfig) -> Tensor:
-    """Mean-pooled class logits [num_classes]."""
-    if config.task != "classification":
-        raise ValueError(f"clf_head requires task='classification', config says '{config.task}'")
-    pooled = reshape(mean(z, axis=0), (1, config.embed_dim))
-    out = add(matmul(pooled, params["clf_head.w"]), params["clf_head.b"])
-    return reshape(out, (config.num_classes,))
-
-
 def predict(image, params: ParamStore, config: ModelConfig) -> np.ndarray:
-    """Task prediction on an unmasked image, outside any tape.
+    """Per-patch labels [num_patches] for an unmasked image, outside any tape.
 
-    Segmentation: per-patch labels [num_patches]. Classification: a single
-    label wrapped in a length-1 array. Argmax ties resolve to the lowest
-    class index.
+    Argmax ties resolve to the lowest class index.
     """
     if tape_active():
         raise ValueError("predict is inference-only; no tape may be active")
     z = encode(image, params, config)
-    if config.task == "segmentation":
-        logits = seg_decode(z, params, config)
-        return np.argmax(logits.data, axis=-1)
-    logits = clf_head(z, params, config)
-    return np.array([int(np.argmax(logits.data))])
+    return np.argmax(seg_decode(z, params, config).data, axis=-1)

@@ -8,8 +8,6 @@ and the checkpoint entry table.
 """
 from __future__ import annotations
 
-import numpy as np
-
 from .autodiff import Tensor
 
 GROUPS = ("backbone", "adapter", "seg_head", "rec_head", "mask_token")
@@ -85,9 +83,6 @@ class ParamStore:
             g = self._groups[n]
             counts[g] = counts.get(g, 0) + t.data.size
         return counts
-
-    def total_count(self) -> int:
-        return sum(t.data.size for t in self._tensors.values())
 
     def snapshot_bytes(self, names=None) -> dict[str, bytes]:
         """Raw value bytes per name; used for bit-identity checks."""

@@ -1,11 +1,10 @@
-"""Source-domain pretraining: supervised task loss plus masked reconstruction.
+"""Source-domain pretraining: segmentation loss plus masked reconstruction.
 
 Every training step masks a random subset of patches, feeds the masked image
-through the shared encoder, and optimizes the sum of the supervised loss
-(per-patch cross-entropy for segmentation, image-level cross-entropy for
-classification) and the L1 reconstruction loss over the masked pixels. All
-parameter groups — backbone, adapters, heads, and the mask token — receive
-updates during this stage.
+through the shared encoder, and optimizes the sum of the per-patch
+segmentation cross-entropy and the L1 reconstruction loss over the masked
+pixels. All parameter groups — backbone, adapters, heads, and the mask
+token — receive updates during this stage.
 """
 from __future__ import annotations
 
@@ -20,14 +19,14 @@ from . import model as m
 from .autodiff import Optimizer, Tensor
 from .checkpoint import save_checkpoint
 from .params import ParamStore
-from .streams import Scene, SceneSpec, generate_scene, scene_class_label
+from .streams import Scene, SceneSpec, generate_scene
 
 
 @dataclass(frozen=True)
 class SourceBatch:
     images: tuple          # of [c, h, w] float64 arrays
     labels: tuple          # of [num_patches] int64 arrays
-    class_labels: tuple    # of int (used only for classification runs)
+    class_labels: tuple = ()   # ignored; kept so existing callers still construct batches
 
 
 def scene_spec_for(config: m.ModelConfig, min_objects: int = 2,
@@ -49,7 +48,7 @@ def make_source_scenes(config: m.ModelConfig, num_scenes: int, seed: int) -> lis
 
 def source_step(batch: SourceBatch, params: ParamStore, config: m.ModelConfig,
                 optimizer: Optimizer, lr: float, mask_seed: int, step: int):
-    """One optimization step over a batch; returns (loss_total, loss_task, loss_rec).
+    """One optimization step over a batch; returns (loss_total, loss_seg, loss_rec).
 
     Per-image masks are drawn from (mask_seed, step * batch_size + i), so the
     mask sequence depends only on position in the run, not batch composition.
@@ -68,7 +67,7 @@ def _source_step_inner(batch, params, config, optimizer, lr, mask_seed, step):
     n_img = len(batch.images)
     tape = ad.Tape()
     with ad.recording(tape):
-        task_terms = []
+        seg_terms = []
         rec_terms = []
         for i, image in enumerate(batch.images):
             x_img = Tensor(image)
@@ -76,23 +75,18 @@ def _source_step_inner(batch, params, config, optimizer, lr, mask_seed, step):
                              step * n_img + i)
             x_masked = m.apply_mask(x_img, pm, params["mask_token"], config)
             tokens = m.encode(x_masked, params, config)
-            if config.task == "segmentation":
-                logits = m.seg_decode(tokens, params, config)
-                task_terms.append(ad.cross_entropy(logits, np.asarray(batch.labels[i])))
-            else:
-                logits = ad.reshape(m.clf_head(tokens, params, config),
-                                    (1, config.num_classes))
-                task_terms.append(ad.cross_entropy(
-                    logits, np.asarray([batch.class_labels[i]], dtype=np.int64)))
+            logits = m.seg_decode(tokens, params, config)
+            seg_terms.append(ad.cross_entropy(logits, np.asarray(batch.labels[i])))
             recon = m.rec_decode(tokens, params, config)
             rec_terms.append(ad.l1_masked(recon, x_img,
                                           Tensor(m.pixel_mask(pm, config))))
-        loss_task = _mean_of(task_terms)
+        loss_seg = _mean_of(seg_terms)
         loss_rec = _mean_of(rec_terms)
-        loss_total = ad.add(loss_task, loss_rec)
+        loss_total = ad.add(loss_seg, loss_rec)
         ad.backward(loss_total)
+    tape.nodes.clear()   # break the tape -> node -> tensor -> tape cycle now
     optimizer.step(params, group_filter=params.groups_present(), lr=lr)
-    return (float(loss_total.data), float(loss_task.data), float(loss_rec.data))
+    return (float(loss_total.data), float(loss_seg.data), float(loss_rec.data))
 
 
 def _mean_of(terms):
@@ -136,7 +130,6 @@ def train_source(config: m.ModelConfig, num_scenes: int, epochs: int, batch_size
             batch = SourceBatch(
                 images=tuple(scenes[j].image for j in idx),
                 labels=tuple(scenes[j].labels for j in idx),
-                class_labels=tuple(scene_class_label(scenes[j]) for j in idx),
             )
             losses = source_step(batch, params, config, optimizer, lr,
                                  mask_seed=seed, step=step)

@@ -129,15 +129,6 @@ def majority_patch_labels(class_map: np.ndarray, patch_size: int, num_classes: i
     return out
 
 
-def scene_class_label(scene: Scene) -> int:
-    """Image-level label for classification runs: class of the largest object."""
-    areas = np.bincount(scene.class_map.reshape(-1))
-    if areas.size <= 1:
-        return 0
-    fg = areas[1:]
-    return int(np.argmax(fg)) + 1 if fg.max() > 0 else 0
-
-
 # ---------------------------------------------------------------------------
 # corruptions
 # ---------------------------------------------------------------------------
@@ -232,9 +223,9 @@ def _derive_corruption_seed(scene_seed: int) -> int:
     return int(np.random.default_rng((int(scene_seed), 977)).integers(0, 2 ** 62))
 
 
-def _make_instance(spec: SceneSpec, seed: int, t: int, domain: str, rnd: int,
-                   severity: float) -> StreamInstance:
-    scene_seed = _derive_scene_seed(seed, t)
+def _render_instance(spec: SceneSpec, scene_seed: int, domain: str, rnd: int, t: int,
+                     severity: float) -> StreamInstance:
+    """Render the scene for scene_seed and corrupt it for its domain."""
     scene = generate_scene(scene_seed, spec)
     if domain == "clean":
         image = scene.image.copy()
@@ -267,7 +258,8 @@ def build_stream(spec: SceneSpec, domains, per_domain: int, rounds: int, seed: i
         for rnd in range(rounds):
             for domain in domains:
                 for _ in range(per_domain):
-                    yield _make_instance(spec, seed, t, domain, rnd, severity)
+                    yield _render_instance(spec, _derive_scene_seed(seed, t), domain,
+                                           rnd, t, severity)
                     t += 1
 
     return gen()
@@ -306,19 +298,6 @@ def stream_from_manifest(path, spec: SceneSpec, severity: float = 0.8):
             raise ValueError(f"manifest columns must be {MANIFEST_COLUMNS}")
         rows = list(reader)
 
-    def gen():
-        for row in rows:
-            scene_seed = int(row["scene_seed"])
-            scene = generate_scene(scene_seed, spec)
-            domain = row["domain"]
-            if domain == "clean":
-                image = scene.image.copy()
-            else:
-                cspec = CorruptionSpec(kind=domain, severity=severity,
-                                       seed=_derive_corruption_seed(scene_seed))
-                image = apply_corruption(scene.image, cspec)
-            yield StreamInstance(image=image, labels=scene.labels, domain=domain,
-                                 round=int(row["round"]), t=int(row["t"]),
-                                 scene_seed=scene_seed)
-
-    return gen()
+    return (_render_instance(spec, int(row["scene_seed"]), row["domain"], int(row["round"]),
+                             int(row["t"]), severity)
+            for row in rows)

@@ -125,10 +125,6 @@ def test_criterion_01_gradient_suite(capsys):
         wm = w((4,))
         _fd_check(lambda t: ad.mean(t["x"]), {"x": x.copy()}, "x")
         _fd_check(lambda t: weighted(ad.mean(t["x"], axis=0), wm), {"x": x.copy()}, "x")
-        idx = np.array([0, 2, 2, 1])
-        wg = w((4, 4))
-        _fd_check(lambda t: weighted(ad.gather_rows(t["x"], idx), wg),
-                  {"x": x.copy()}, "x")
         logits = w((6, 4))
         labels = np.array([0, 3, 1, -1, 2, 1])  # includes an ignored row
         _fd_check(lambda t: ad.cross_entropy(t["lg"], labels), {"lg": logits.copy()}, "lg")
@@ -336,8 +332,7 @@ def test_criterion_07_adapter_insertion_identity(capsys, tmp_path):
         store = init_params(TINY, seed=6, include_adapters=False)
         scenes = make_source_scenes(TINY, 8, seed=14)
         batch = SourceBatch(images=tuple(s.image for s in scenes),
-                            labels=tuple(s.labels for s in scenes),
-                            class_labels=tuple(0 for _ in scenes))
+                            labels=tuple(s.labels for s in scenes))
         opt = Optimizer("adam")
         for step in range(4):
             source_step(batch, store, TINY, opt, lr=1e-3, mask_seed=0, step=step)
@@ -385,14 +380,15 @@ def test_criterion_08_forward_economy(capsys, reference):
         for inst in insts[:2]:  # warmup
             fast.step(inst.image, inst.t, inst.domain)
             slow.step(inst.image, inst.t, inst.domain)
-        t0 = time.perf_counter()
+        # interleaved per instance, so a slow stretch of the machine hits both
+        t_fast = t_slow = 0.0
         for inst in insts[2:]:
+            t0 = time.perf_counter()
             fast.step(inst.image, inst.t, inst.domain)
-        t_fast = time.perf_counter() - t0
-        t0 = time.perf_counter()
-        for inst in insts[2:]:
+            t1 = time.perf_counter()
             slow.step(inst.image, inst.t, inst.domain)
-        t_slow = time.perf_counter() - t0
+            t_fast += t1 - t0
+            t_slow += time.perf_counter() - t1
         n = len(insts)
         assert slow.forward_count == 15 * n  # 14 pseudo-label + 1 student
         ratio = t_slow / t_fast

@@ -4,14 +4,13 @@ import numpy as np
 import pytest
 
 from helpers import make_fake_clock
-from ttaswitch.adaptation import (ET, FT, SKIP, AdaptationEngine, TEACHER_GROUPS,
-                                  decide_shift, detect_shift, ema_update,
-                                  ft_window, init_adaptation, input_statistics,
-                                  update_threshold)
+from ttaswitch.adaptation import (ET, FT, SKIP, TEACHER_GROUPS, decide_shift,
+                                  detect_shift, ema_update, ft_window, init_adaptation,
+                                  input_statistics, update_threshold)
 from ttaswitch.autodiff import NonFiniteError, Tensor
 from ttaswitch.checkpoint import load_checkpoint
 from ttaswitch.harness import RunConfig
-from ttaswitch.model import ModelConfig, init_params, parameter_names
+from ttaswitch.model import ModelConfig, parameter_names
 from ttaswitch.params import ParamStore
 from ttaswitch.source import scene_spec_for, train_source
 from ttaswitch.streams import build_stream
@@ -178,21 +177,6 @@ def test_et_step_touches_only_adapters(trained):
     assert student.snapshot_bytes(student.group_names("adapter")) != adapters_before
 
 
-def test_custom_et_groups(trained):
-    engine = fresh_engine(trained, decision_fn=lambda loss, tau: False,
-                          et_groups=("adapter", "seg_head"))
-    student = engine.student
-    frozen = [n for n in student.names()
-              if student.group_of(n) in ("backbone", "rec_head", "mask_token")]
-    before = student.snapshot_bytes(frozen)
-    head_before = student.snapshot_bytes(student.group_names("seg_head"))
-    engine.step(instances(1)[0].image, t_index=0)
-    assert student.snapshot_bytes(frozen) == before
-    assert student.snapshot_bytes(student.group_names("seg_head")) != head_before
-    with pytest.raises(ValueError, match="not present"):
-        fresh_engine(trained, et_groups=("bogus",))
-
-
 def test_ft_step_updates_every_group(trained):
     engine = fresh_engine(trained, decision_fn=lambda loss, tau: True)
     student = engine.student
@@ -282,13 +266,6 @@ def test_init_adaptation_name_validation(trained):
     with pytest.raises(ValueError, match="unexpected"):
         init_adaptation(extra, config)
     assert set(parameter_names(config)) == set(params.names())
-
-
-def test_classification_config_rejected():
-    cfg = ModelConfig(image_size=8, patch_size=4, embed_dim=16, depth=2, heads=2,
-                      num_classes=3, adapter_dim=6, task="classification")
-    with pytest.raises(ValueError, match="segmentation"):
-        AdaptationEngine(init_params(cfg, seed=0), cfg)
 
 
 # ---------------------------------------------------------------------------

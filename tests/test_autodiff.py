@@ -8,19 +8,16 @@ from ttaswitch.autodiff import (
     NonFiniteError,
     Optimizer,
     ShapeError,
-    Tape,
     Tensor,
     add,
     backward,
     cross_entropy,
-    gather_rows,
     gelu,
     l1_masked,
     layer_norm,
     matmul,
     mean,
     mul,
-    primitive_forward,
     recording,
     relu,
     reshape,
@@ -126,16 +123,10 @@ def test_gelu_relu_values():
     assert g[1] == pytest.approx(0.0, abs=1e-12)
 
 
-def test_mean_and_gather_rows():
+def test_mean_values():
     x = np.arange(12.0).reshape(3, 4)
     assert float(mean(Tensor(x)).data) == pytest.approx(x.mean())
     assert np.allclose(mean(Tensor(x), axis=0).data, x.mean(axis=0))
-    out = gather_rows(Tensor(x), np.array([2, 0, 2]))
-    assert np.array_equal(out.data, x[[2, 0, 2]])
-    with pytest.raises(ValueError):
-        gather_rows(Tensor(x), np.array([3]))
-    with pytest.raises(ShapeError):
-        gather_rows(Tensor(x), np.array([[0]]))
 
 
 def test_transpose_reshape_roundtrip_bits():
@@ -150,13 +141,6 @@ def test_transpose_reshape_roundtrip_bits():
         reshape(Tensor(x), (5, 5))
     with pytest.raises(ShapeError):
         transpose(Tensor(x), (0, 0, 1))
-
-
-def test_primitive_registry():
-    out = primitive_forward("add", Tensor(np.ones(2)), Tensor(np.ones(2)))
-    assert np.allclose(out.data, 2.0)
-    with pytest.raises(ValueError):
-        primitive_forward("conv2d", Tensor(np.ones(2)))
 
 
 # ---------------------------------------------------------------------------
@@ -339,16 +323,6 @@ def test_grad_unary_primitives():
     for name, build in cases.items():
         ana, num = _grad_of(build, {"x": x}, "x")
         assert rel_err(ana, num) <= 1e-4, name
-
-
-def test_grad_gather_rows_accumulates_duplicates():
-    rng = np.random.default_rng(14)
-    x = rng.normal(size=(4, 3))
-    idx = np.array([1, 1, 3])
-    ana, num = _grad_of(lambda t: mean(mul(gather_rows(t["x"], idx), gather_rows(t["x"], idx))),
-                        {"x": x}, "x")
-    assert rel_err(ana, num) <= 1e-6
-    assert abs(ana[1]).sum() > 0 and abs(ana[0]).sum() == 0
 
 
 def test_grad_cross_entropy():

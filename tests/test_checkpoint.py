@@ -90,7 +90,7 @@ def test_magic_prefix(saved):
 def test_config_echo_survives_nondefaults(tmp_path):
     cfg = ModelConfig(image_size=8, patch_size=2, embed_dim=8, depth=1, heads=2,
                       num_classes=4, adapter_dim=3, adapter_scale=0.25,
-                      mask_ratio=0.75, task="classification")
+                      mask_ratio=0.75)
     path = save_checkpoint(tmp_path / "c.htta", init_params(cfg, seed=0), cfg)
     _, loaded_cfg = load_checkpoint(path)
     assert loaded_cfg == cfg

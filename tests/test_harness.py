@@ -82,6 +82,10 @@ def test_config_semantic_validation():
         validate_config(tiny_cfg(severity=2.0))
     with pytest.raises(ValueError, match="divisible"):
         validate_config(tiny_cfg(image_size=30))
+    with pytest.raises(ValueError, match="alpha"):
+        validate_config(tiny_cfg(alpha=1.5))
+    with pytest.raises(ValueError, match="alpha_l"):
+        parse_config_text("alpha_l = 2")
 
 
 def test_load_config_missing_file(tmp_path):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ttaswitch.metrics import compute_error_rate, compute_miou
+from ttaswitch.metrics import compute_miou
 
 
 def test_miou_identity_and_disjoint():
@@ -37,13 +37,3 @@ def test_miou_validation():
     with pytest.raises(ValueError, match="nonnegative"):
         compute_miou([-1, 0], [0, 0])
 
-
-def test_error_rate():
-    assert compute_error_rate([1, 2, 3], [1, 2, 3]) == 0.0
-    assert compute_error_rate([1, 1], [2, 2]) == 1.0
-    gt = np.arange(10)
-    pred = gt.copy()
-    pred[[2, 5, 7]] += 1
-    assert compute_error_rate(gt, pred) == pytest.approx(0.3)
-    with pytest.raises(ValueError, match="empty"):
-        compute_error_rate([], [])

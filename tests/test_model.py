@@ -14,8 +14,6 @@ from ttaswitch.model import (
     ModelConfig,
     adapter_fraction,
     apply_mask,
-    clf_head,
-    count_params,
     draw_mask,
     encode,
     init_params,
@@ -50,8 +48,6 @@ def test_config_validation():
     with pytest.raises(ValueError):
         ModelConfig(adapter_dim=0)
     with pytest.raises(ValueError):
-        ModelConfig(task="detection")
-    with pytest.raises(ValueError):
         ModelConfig(mask_ratio=1.5)
     with pytest.raises(ValueError):
         ModelConfig(num_classes=1)
@@ -67,7 +63,7 @@ def test_param_groups_and_names():
     cfg = TINY
     store = init_params(cfg, seed=1)
     assert store.names() == parameter_names(cfg)
-    counts = count_params(store)
+    counts = store.count_by_group()
     assert set(counts) == {"backbone", "adapter", "seg_head", "rec_head", "mask_token"}
     assert counts["mask_token"] == cfg.channels * cfg.patch_size ** 2
     assert counts["seg_head"] == cfg.embed_dim * cfg.num_classes + cfg.num_classes
@@ -224,30 +220,6 @@ def test_decoder_shapes_and_task_guards():
     assert logits.shape == (cfg.num_patches, cfg.num_classes)
     rec = rec_decode(z, store, cfg)
     assert rec.shape == (cfg.channels, cfg.image_size, cfg.image_size)
-    with pytest.raises(ValueError):
-        clf_head(z, store, cfg)
-
-    ccfg = ModelConfig(image_size=8, patch_size=4, embed_dim=16, depth=1, heads=2,
-                       num_classes=4, adapter_dim=4, task="classification")
-    cstore = init_params(ccfg, seed=4)
-    cz = encode(_image(ccfg), cstore, ccfg)
-    clogits = clf_head(cz, cstore, ccfg)
-    assert clogits.shape == (4,)
-    with pytest.raises(ValueError):
-        seg_decode(cz, cstore, ccfg)
-
-
-def test_clf_head_is_mean_pool():
-    ccfg = ModelConfig(image_size=8, patch_size=4, embed_dim=16, depth=1, heads=2,
-                       num_classes=4, adapter_dim=4, task="classification")
-    cstore = init_params(ccfg, seed=5)
-    row = np.random.default_rng(1).normal(size=(1, ccfg.embed_dim))
-    z_same = Tensor(np.tile(row, (ccfg.num_patches, 1)))
-    a = clf_head(z_same, cstore, ccfg).data
-    b = clf_head(Tensor(np.tile(row, (1, 1))), cstore,
-                 ModelConfig(image_size=4, patch_size=4, embed_dim=16, depth=1, heads=2,
-                             num_classes=4, adapter_dim=4, task="classification")).data
-    assert np.allclose(a, b, atol=1e-12)
 
 
 def test_predict_labels():

@@ -16,17 +16,16 @@ TINY = ModelConfig(image_size=8, patch_size=4, embed_dim=16, depth=2, heads=2,
 def _batch(config, n, seed=3):
     scenes = make_source_scenes(config, n, seed)
     return SourceBatch(images=tuple(s.image for s in scenes),
-                       labels=tuple(s.labels for s in scenes),
-                       class_labels=tuple(1 for _ in scenes))
+                       labels=tuple(s.labels for s in scenes))
 
 
 def test_total_is_exact_sum_of_parts():
     params = init_params(TINY, seed=0)
-    total, task, rec = source_step(_batch(TINY, 2), params, TINY, Optimizer("adam"),
-                                   lr=1e-3, mask_seed=0, step=0)
-    assert total == task + rec
-    assert np.isfinite([total, task, rec]).all()
-    assert task > 0 and rec > 0
+    total, seg, rec = source_step(_batch(TINY, 2), params, TINY, Optimizer("adam"),
+                                  lr=1e-3, mask_seed=0, step=0)
+    assert total == seg + rec
+    assert np.isfinite([total, seg, rec]).all()
+    assert seg > 0 and rec > 0
 
 
 def test_step_updates_every_group():
@@ -53,19 +52,10 @@ def test_steps_are_deterministic():
     assert results[0][1] == results[1][1]
 
 
-def test_classification_task_step():
-    cfg = ModelConfig(image_size=8, patch_size=4, embed_dim=16, depth=2, heads=2,
-                      num_classes=3, adapter_dim=6, task="classification")
-    params = init_params(cfg, seed=0)
-    total, task, rec = source_step(_batch(cfg, 2), params, cfg, Optimizer("adam"),
-                                   lr=1e-3, mask_seed=0, step=0)
-    assert total == task + rec and np.isfinite(total)
-
-
 def test_empty_batch_rejected():
     params = init_params(TINY, seed=0)
     with pytest.raises(ValueError, match="empty batch"):
-        source_step(SourceBatch((), (), ()), params, TINY, Optimizer("adam"),
+        source_step(SourceBatch((), ()), params, TINY, Optimizer("adam"),
                     1e-3, 0, 0)
 
 

@@ -3,8 +3,7 @@ import pytest
 
 from ttaswitch.streams import (CORRUPTIONS, CorruptionSpec, SceneSpec, apply_corruption,
                                build_stream, generate_scene, majority_patch_labels,
-                               scene_class_label, stream_from_manifest, stream_manifest,
-                               write_manifest)
+                               stream_from_manifest, stream_manifest, write_manifest)
 
 SPEC = SceneSpec(image_size=16, patch_size=4, num_classes=5)
 
@@ -44,15 +43,6 @@ def test_majority_labels_hand_case():
     # patch 0: {0,1,1,1} -> 1; patch 1: all 2 -> 2
     # patch 2: {0,0,1,1} tie -> lowest index 0; patch 3: {3,0,0,3} tie -> 0
     assert labels.tolist() == [1, 2, 0, 0]
-
-
-def test_scene_class_label_is_largest_object():
-    cmap = np.zeros((8, 8), dtype=np.int64)
-    cmap[:2, :2] = 2          # 4 px
-    cmap[4:, 4:] = 3          # 16 px
-    scene_like = generate_scene(0, SPEC)
-    object.__setattr__(scene_like, "class_map", cmap)
-    assert scene_class_label(scene_like) == 3
 
 
 # ---------------------------------------------------------------------------
