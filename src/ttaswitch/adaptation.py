@@ -4,8 +4,10 @@ For every stream instance the engine runs exactly two encoder forwards:
 
 1. the EMA teacher sees the unmasked image and emits hard per-patch
    pseudo-labels;
-2. the student sees a masked copy and is trained on pseudo-label
-   cross-entropy plus masked L1 reconstruction of the original pixels.
+2. the student sees a masked copy and is trained on `model.masked_losses`,
+   the objective of source training with pseudo-labels in place of true
+   labels: cross-entropy plus masked L1 reconstruction of the original
+   pixels.
 
 The tuning mode is chosen per instance *before* any state changes, by
 dynamic domain shift detection on the input sequence. The detector keeps
@@ -45,7 +47,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import model as m
-from .autodiff import NonFiniteError, Optimizer, Tape, Tensor
+from .autodiff import NonFiniteError, Optimizer, Tape
 from .params import ParamStore
 
 FT = "FT"      # full tuning: every parameter group
@@ -219,16 +221,9 @@ class AdaptationEngine:
                                      self.mask_seed, t_index)
             tape = Tape()
             with ad.recording(tape):
-                x_img = Tensor(np.asarray(image, dtype=np.float64))
-                x_masked = m.apply_mask(x_img, patch_mask,
-                                        self.student["mask_token"], cfg)
                 self.forward_count += 1
-                tokens = m.encode(x_masked, self.student, cfg)
-                logits = m.seg_decode(tokens, self.student, cfg)
-                loss_seg = ad.cross_entropy(logits, labels)
-                recon = m.rec_decode(tokens, self.student, cfg)
-                loss_rec = ad.l1_masked(recon, x_img,
-                                        Tensor(m.pixel_mask(patch_mask, cfg)))
+                loss_seg, loss_rec, logits = m.masked_losses(
+                    image, labels, patch_mask, self.student, cfg)
                 loss_total = ad.add(loss_seg, loss_rec)
                 use_ft, shift_state = detect_shift(self.shift_state, image,
                                                    self.alpha_l)

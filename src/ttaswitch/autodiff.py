@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from contextlib import contextmanager
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 from scipy.special import erf
@@ -100,26 +100,8 @@ class Tensor:
     def ndim(self) -> int:
         return self.data.ndim
 
-    def item(self) -> float:
-        return float(self.data)
-
     def __repr__(self) -> str:
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
-
-    # convenience arithmetic; the functional forms below are the primary API
-    def __add__(self, other):
-        return add(self, other)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            return scalar_mul(self, float(other))
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return self.__mul__(other)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
 
 def as_tensor(x) -> Tensor:
@@ -470,11 +452,6 @@ def backward(loss: Tensor) -> None:
                 flow[id(inp)] = g if prev is None else prev + g
             else:
                 inp.grad = g.copy() if inp.grad is None else inp.grad + g
-
-
-def zero_grad(tensors: Iterable[Tensor]) -> None:
-    for t in tensors:
-        t.grad = None
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .adaptation import ET, FT, SKIP, init_adaptation
+from .adaptation import ET, FT, SKIP, StepReport, init_adaptation
 from .checkpoint import load_checkpoint
 from .metrics import compute_miou
 from .model import ModelConfig
@@ -200,55 +200,50 @@ def run_experiment(cfg: RunConfig, checkpoint_path, out_dir=None,
     if not checkpoint_path.exists():
         raise FileNotFoundError(f"checkpoint not found: {checkpoint_path}")
     validate_config(cfg)
-    out_dir = Path(out_dir) if out_dir is not None else Path(cfg.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "config_echo.cfg").write_text(format_config(cfg))
-
     params, ckpt_config = load_checkpoint(checkpoint_path)
     expected = cfg.model_config()
     if ckpt_config != expected:
         raise ValueError(f"checkpoint model config {ckpt_config} does not match "
                          f"run config {expected}")
+    out_dir = Path(out_dir) if out_dir is not None else Path(cfg.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    (out_dir / "config_echo.cfg").write_text(format_config(cfg))
+
     engine = init_adaptation(params, expected, lr=cfg.lr_tta, alpha=cfg.alpha,
                              alpha_l=cfg.alpha_l, optimizer_kind=cfg.optimizer,
                              decision_fn=_DECISION_FNS.get(cfg.mode),
                              mask_seed=cfg.seed, clock=clock)
     stream = build_stream(cfg.scene_spec(), cfg.domains, cfg.per_domain, cfg.rounds,
                           cfg.seed, cfg.severity)
+    nan = float("nan")
     rows = []
     run_start = clock()
     for inst in stream:
         if cfg.mode == "no-adapt":
             start = clock()
             pred = engine.pseudo_label(inst.image)
-            wall_ms = (clock() - start) * 1000.0
-            row = {"t": inst.t, "domain": inst.domain, "round": inst.round,
-                   "decision": NO_DECISION, "loss_seg": float("nan"),
-                   "loss_rec": float("nan"), "tau_before": float("nan"),
-                   "tau_after": float("nan"),
-                   "miou_instance": compute_miou(inst.labels, pred),
-                   "wall_ms": wall_ms}
+            report = StepReport(t=inst.t, domain=inst.domain, decision=NO_DECISION,
+                                loss_seg=nan, loss_rec=nan, tau_before=nan,
+                                tau_after=nan, wall_ms=(clock() - start) * 1000.0,
+                                teacher_labels=pred, student_labels=None)
         else:
             report = engine.step(inst.image, t_index=inst.t, domain=inst.domain)
-            miou = (float("nan") if report.teacher_labels is None
-                    else compute_miou(inst.labels, report.teacher_labels))
-            row = {"t": inst.t, "domain": inst.domain, "round": inst.round,
-                   "decision": report.decision, "loss_seg": report.loss_seg,
-                   "loss_rec": report.loss_rec, "tau_before": report.tau_before,
-                   "tau_after": report.tau_after, "miou_instance": miou,
-                   "wall_ms": report.wall_ms}
-        rows.append(row)
+        miou = (nan if report.teacher_labels is None
+                else compute_miou(inst.labels, report.teacher_labels))
+        rows.append({"t": inst.t, "domain": inst.domain, "round": inst.round,
+                     "decision": report.decision, "loss_seg": report.loss_seg,
+                     "loss_rec": report.loss_rec, "tau_before": report.tau_before,
+                     "tau_after": report.tau_after, "miou_instance": miou,
+                     "wall_ms": report.wall_ms})
     total_wall_s = clock() - run_start
 
     _write_csv(out_dir / "per_instance.csv", PER_INSTANCE_COLUMNS, rows)
-    summary_rows = round_summary(rows, cfg.domains)
-    _write_csv(out_dir / "round_summary.csv", ROUND_SUMMARY_COLUMNS, summary_rows)
+    _write_csv(out_dir / "round_summary.csv", ROUND_SUMMARY_COLUMNS,
+               round_summary(rows, cfg.domains))
 
-    mious = [r["miou_instance"] for r in rows if not math.isnan(r["miou_instance"])]
-    mean_miou = float(np.mean(mious)) if mious else float("nan")
-    ft = sum(1 for r in rows if r["decision"] == FT)
-    et = sum(1 for r in rows if r["decision"] == ET)
-    skip = sum(1 for r in rows if r["decision"] == SKIP)
+    total = _tally(rows)
+    mean_miou, ft, et, skip = (total["miou_mean"], total["ft"], total["et"],
+                               total["skip"])
     if cfg.mode != "no-adapt":
         if (ft, et, skip) != (engine.ft_count, engine.et_count, engine.skipped):
             raise AssertionError("per-instance rows disagree with engine counters")
@@ -261,6 +256,21 @@ def run_experiment(cfg: RunConfig, checkpoint_path, out_dir=None,
                      total_wall_s=total_wall_s, out_dir=out_dir)
 
 
+def _tally(rows) -> dict:
+    """Count, mean mIoU of the scored rows, FT/ET/SKIP counts, FT ratio, wall ms."""
+    mious = [r["miou_instance"] for r in rows if not math.isnan(r["miou_instance"])]
+    ft = sum(1 for r in rows if r["decision"] == FT)
+    et = sum(1 for r in rows if r["decision"] == ET)
+    skip = sum(1 for r in rows if r["decision"] == SKIP)
+    denom = ft + et
+    return {"n": len(rows),
+            "miou_mean": float(np.mean(mious)) if mious else float("nan"),
+            "ft": ft, "et": et, "skip": skip,
+            "ft_ratio": ft / denom if denom else float("nan"),
+            "mean_wall_ms": (float(np.mean([r["wall_ms"] for r in rows]))
+                             if rows else float("nan"))}
+
+
 def round_summary(rows, domain_order) -> list:
     """Aggregate per-instance rows into (round, domain) cells plus totals.
 
@@ -269,30 +279,14 @@ def round_summary(rows, domain_order) -> list:
     CSV alone.
     """
     out = []
-
-    def cell(round_tag, domain_tag, members):
-        mious = [r["miou_instance"] for r in members
-                 if not math.isnan(r["miou_instance"])]
-        ft = sum(1 for r in members if r["decision"] == FT)
-        et = sum(1 for r in members if r["decision"] == ET)
-        skip = sum(1 for r in members if r["decision"] == SKIP)
-        denom = ft + et
-        return {"round": round_tag, "domain": domain_tag, "n": len(members),
-                "miou_mean": float(np.mean(mious)) if mious else float("nan"),
-                "ft": ft, "et": et, "skip": skip,
-                "ft_ratio": ft / denom if denom else float("nan"),
-                "mean_wall_ms": (float(np.mean([r["wall_ms"] for r in members]))
-                                 if members else float("nan"))}
-
-    rounds = sorted({r["round"] for r in rows})
-    for rnd in rounds:
+    for rnd in sorted({r["round"] for r in rows}):
         in_round = [r for r in rows if r["round"] == rnd]
         for domain in domain_order:
             members = [r for r in in_round if r["domain"] == domain]
             if members:
-                out.append(cell(rnd, domain, members))
-        out.append(cell(rnd, "all", in_round))
-    out.append(cell("all", "all", rows))
+                out.append({"round": rnd, "domain": domain, **_tally(members)})
+        out.append({"round": rnd, "domain": "all", **_tally(in_round)})
+    out.append({"round": "all", "domain": "all", **_tally(rows)})
     return out
 
 
@@ -346,12 +340,8 @@ def run_mode_comparison(cfg: RunConfig, checkpoint_path, out_dir,
         result = run_experiment(mode_cfg, checkpoint_path,
                                 out_dir / mode.replace("-", "_"), clock=clock)
         results[mode] = result
-        denom = result.ft_count + result.et_count
-        summary_rows.append({
-            "mode": mode, "instances": len(result.rows),
-            "mean_miou": result.mean_miou, "ft": result.ft_count,
-            "et": result.et_count, "skip": result.skip_count,
-            "ft_ratio": result.ft_count / denom if denom else float("nan"),
-            "mean_wall_ms": float(np.mean([r["wall_ms"] for r in result.rows]))})
+        tally = _tally(result.rows)
+        summary_rows.append({**tally, "mode": mode, "instances": tally["n"],
+                             "mean_miou": tally["miou_mean"]})
     _write_csv(out_dir / "modes_summary.csv", MODES_SUMMARY_COLUMNS, summary_rows)
     return results

@@ -9,6 +9,10 @@ inserted adapter leaves the function unchanged.
 The model is segmentation-only. Two decoders share the encoder output:
 per-patch segmentation logits and per-pixel reconstruction. Masking
 replaces whole patches with a learnable mask token at input-pixel level.
+
+`masked_losses` is the one training objective of both stages: source
+training scores it against true labels, test-time adaptation against the
+teacher's pseudo-labels.
 """
 from __future__ import annotations
 
@@ -18,6 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import ndimage
 
+from . import autodiff as ad
 from .autodiff import (
     NonFiniteError,
     Tensor,
@@ -383,6 +388,25 @@ def rec_decode(z, params: ParamStore, config: ModelConfig) -> Tensor:
     if z.shape[0] != config.num_patches:
         raise ValueError("rec_decode: token count does not match config grid")
     return unpatchify(tokens, config.channels, config.image_size, config.patch_size)
+
+
+def masked_losses(image, labels, patch_mask: PatchMask, params: ParamStore,
+                  config: ModelConfig) -> tuple[Tensor, Tensor, Tensor]:
+    """The masked objective; returns (loss_seg, loss_rec, logits).
+
+    Masks the image with the learnable token, encodes it once, and scores
+    the segmentation logits by cross-entropy against `labels` and the
+    reconstruction by L1 over the masked pixels of the original image. A
+    non-finite image raises NonFiniteError before any forward.
+    """
+    x_img = as_tensor(image)
+    tokens = encode(apply_mask(x_img, patch_mask, params["mask_token"], config),
+                    params, config)
+    logits = seg_decode(tokens, params, config)
+    loss_seg = ad.cross_entropy(logits, np.asarray(labels))
+    loss_rec = ad.l1_masked(rec_decode(tokens, params, config), x_img,
+                            Tensor(pixel_mask(patch_mask, config)))
+    return loss_seg, loss_rec, logits
 
 
 def predict(image, params: ParamStore, config: ModelConfig) -> np.ndarray:

@@ -1,10 +1,11 @@
 """Source-domain pretraining: segmentation loss plus masked reconstruction.
 
-Every training step masks a random subset of patches, feeds the masked image
-through the shared encoder, and optimizes the sum of the per-patch
-segmentation cross-entropy and the L1 reconstruction loss over the masked
-pixels. All parameter groups — backbone, adapters, heads, and the mask
-token — receive updates during this stage.
+Every training step masks a random subset of patches of each image and
+optimizes the batch means of the masked objective `model.masked_losses`:
+per-patch segmentation cross-entropy against the true labels plus the L1
+reconstruction loss over the masked pixels. All parameter groups —
+backbone, adapters, heads, and the mask token — receive updates during
+this stage.
 """
 from __future__ import annotations
 
@@ -16,7 +17,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import model as m
-from .autodiff import Optimizer, Tensor
+from .autodiff import Optimizer
 from .checkpoint import save_checkpoint
 from .params import ParamStore
 from .streams import Scene, SceneSpec, generate_scene
@@ -29,11 +30,9 @@ class SourceBatch:
     class_labels: tuple = ()   # ignored; kept so existing callers still construct batches
 
 
-def scene_spec_for(config: m.ModelConfig, min_objects: int = 2,
-                   max_objects: int = 5) -> SceneSpec:
+def scene_spec_for(config: m.ModelConfig) -> SceneSpec:
     return SceneSpec(image_size=config.image_size, patch_size=config.patch_size,
-                     channels=config.channels, num_classes=config.num_classes,
-                     min_objects=min_objects, max_objects=max_objects)
+                     channels=config.channels, num_classes=config.num_classes)
 
 
 def make_source_scenes(config: m.ModelConfig, num_scenes: int, seed: int) -> list[Scene]:
@@ -70,16 +69,11 @@ def _source_step_inner(batch, params, config, optimizer, lr, mask_seed, step):
         seg_terms = []
         rec_terms = []
         for i, image in enumerate(batch.images):
-            x_img = Tensor(image)
             pm = m.draw_mask(config.num_patches, config.mask_ratio, mask_seed,
                              step * n_img + i)
-            x_masked = m.apply_mask(x_img, pm, params["mask_token"], config)
-            tokens = m.encode(x_masked, params, config)
-            logits = m.seg_decode(tokens, params, config)
-            seg_terms.append(ad.cross_entropy(logits, np.asarray(batch.labels[i])))
-            recon = m.rec_decode(tokens, params, config)
-            rec_terms.append(ad.l1_masked(recon, x_img,
-                                          Tensor(m.pixel_mask(pm, config))))
+            seg, rec, _ = m.masked_losses(image, batch.labels[i], pm, params, config)
+            seg_terms.append(seg)
+            rec_terms.append(rec)
         loss_seg = _mean_of(seg_terms)
         loss_rec = _mean_of(rec_terms)
         loss_total = ad.add(loss_seg, loss_rec)

@@ -241,8 +241,9 @@ def build_stream(spec: SceneSpec, domains, per_domain: int, rounds: int, seed: i
                  severity: float = 0.8):
     """Single-pass iterator over rounds x domains x per_domain instances.
 
-    Rounds are 0-indexed. Instance t of the default 4-domain, 40-per-domain
-    stream therefore lands in round t // 160.
+    Renders the rows of `stream_manifest` in order. Rounds are 0-indexed.
+    Instance t of the default 4-domain, 40-per-domain stream therefore lands
+    in round t // 160.
     """
     domains = list(domains)
     if not domains:
@@ -252,17 +253,7 @@ def build_stream(spec: SceneSpec, domains, per_domain: int, rounds: int, seed: i
             CorruptionSpec(kind=d, severity=severity)  # validates kind and severity
     if per_domain < 1 or rounds < 1:
         raise ValueError("build_stream: per_domain and rounds must be >= 1")
-
-    def gen():
-        t = 0
-        for rnd in range(rounds):
-            for domain in domains:
-                for _ in range(per_domain):
-                    yield _render_instance(spec, _derive_scene_seed(seed, t), domain,
-                                           rnd, t, severity)
-                    t += 1
-
-    return gen()
+    return _render_rows(stream_manifest(domains, per_domain, rounds, seed), spec, severity)
 
 
 MANIFEST_COLUMNS = ("t", "domain", "round", "scene_seed")
@@ -297,7 +288,11 @@ def stream_from_manifest(path, spec: SceneSpec, severity: float = 0.8):
         if tuple(reader.fieldnames or ()) != MANIFEST_COLUMNS:
             raise ValueError(f"manifest columns must be {MANIFEST_COLUMNS}")
         rows = list(reader)
+    return _render_rows(rows, spec, severity)
 
+
+def _render_rows(rows, spec: SceneSpec, severity: float):
+    """Single-pass iterator rendering manifest rows (ints or their CSV text)."""
     return (_render_instance(spec, int(row["scene_seed"]), row["domain"], int(row["round"]),
                              int(row["t"]), severity)
             for row in rows)

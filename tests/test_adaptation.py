@@ -7,12 +7,13 @@ from helpers import make_fake_clock
 from ttaswitch.adaptation import (ET, FT, SKIP, TEACHER_GROUPS, decide_shift,
                                   detect_shift, ema_update, ft_window, init_adaptation,
                                   input_statistics, update_threshold)
-from ttaswitch.autodiff import NonFiniteError, Tensor
+from ttaswitch.autodiff import NonFiniteError, Optimizer, Tensor
 from ttaswitch.checkpoint import load_checkpoint
 from ttaswitch.harness import RunConfig
-from ttaswitch.model import ModelConfig, parameter_names
+from ttaswitch.model import (ModelConfig, draw_mask, masked_losses, parameter_names,
+                             predict)
 from ttaswitch.params import ParamStore
-from ttaswitch.source import scene_spec_for, train_source
+from ttaswitch.source import SourceBatch, scene_spec_for, source_step, train_source
 from ttaswitch.streams import build_stream
 
 TINY = ModelConfig(image_size=8, patch_size=4, embed_dim=16, depth=2, heads=2,
@@ -193,6 +194,34 @@ def test_exactly_two_forwards_per_instance(trained):
         before = engine.forward_count
         engine.step(inst.image, t_index=i, domain=inst.domain)
         assert engine.forward_count - before == 2
+
+
+def test_source_and_engine_share_masked_losses(trained):
+    # One objective, two stages: true labels in source training, teacher
+    # pseudo-labels at test time, each at its documented mask seed.
+    params, config = trained
+    n, ratio = config.num_patches, config.mask_ratio
+    inst = instances(1)[0]
+    store = params.clone()
+    seg, rec, _ = masked_losses(inst.image, inst.labels, draw_mask(n, ratio, 5, 3),
+                                store, config)
+    total, s_seg, s_rec = source_step(SourceBatch((inst.image,), (inst.labels,)),
+                                      store, config, Optimizer("adam"), 1e-3,
+                                      mask_seed=5, step=3)
+    assert (s_seg, s_rec) == (float(seg.data), float(rec.data))
+    assert total == s_seg + s_rec
+
+    engine = fresh_engine(trained, mask_seed=7)
+    for t_index, inst in enumerate(instances(3), start=4):
+        student = engine.student.clone()
+        labels = predict(inst.image, engine.teacher, config)
+        seg, rec, logits = masked_losses(inst.image, labels,
+                                         draw_mask(n, ratio, engine.mask_seed, t_index),
+                                         student, config)
+        report = engine.step(inst.image, t_index=t_index, domain=inst.domain)
+        assert np.array_equal(report.teacher_labels, labels)
+        assert (report.loss_seg, report.loss_rec) == (float(seg.data), float(rec.data))
+        assert np.array_equal(report.student_labels, np.argmax(logits.data, axis=-1))
 
 
 def test_teacher_ema_matches_manual_computation(trained):

@@ -191,6 +191,7 @@ def test_throughput_contract(checkpoint, tmp_path):
 def test_checkpoint_config_mismatch_rejected(checkpoint, tmp_path):
     with pytest.raises(ValueError, match="does not match"):
         run_experiment(tiny_cfg(embed_dim=32), checkpoint, tmp_path / "x")
+    assert not (tmp_path / "x").exists()   # nothing written for a refused run
     with pytest.raises(FileNotFoundError, match="checkpoint"):
         run_experiment(tiny_cfg(), tmp_path / "missing.htta", tmp_path / "y")
 
@@ -202,6 +203,12 @@ def test_run_mode_comparison(checkpoint, tmp_path):
     with (tmp_path / "cmp" / "modes_summary.csv").open() as fh:
         lines = fh.read().splitlines()
     assert lines[0].startswith("mode,instances,mean_miou")
-    assert len(lines) == 1 + len(MODES)
-    for mode in MODES:
-        assert (tmp_path / "cmp" / mode.replace("-", "_") / "per_instance.csv").exists()
+    assert [line.split(",")[0] for line in lines[1:]] == list(MODES)
+    for line in lines[1:]:
+        mode, *cells = line.split(",")
+        run_dir = tmp_path / "cmp" / mode.replace("-", "_")
+        assert (run_dir / "per_instance.csv").exists()
+        # the mode's row is the whole-stream tally of its own round summary
+        totals = (run_dir / "round_summary.csv").read_text().splitlines()[-1]
+        assert totals.startswith("all,all,")
+        assert cells == totals.split(",")[2:], mode
