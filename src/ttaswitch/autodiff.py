@@ -169,13 +169,27 @@ def _unbcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def matmul(a, b) -> Tensor:
-    """Matrix product over the last two axes; batch axes broadcast (leading only)."""
+    """Matrix product over the last two axes; batch axes broadcast (leading only).
+
+    A stacked `a` against a 2-D `b` runs as one GEMM over all rows of `a`,
+    in the forward and in both VJPs, so the gradient of `b` is one
+    `a2.T @ g2` instead of a stack of products that is then summed.
+    """
     a, b = as_tensor(a), as_tensor(b)
     da, db = a.data, b.data
     if da.ndim < 2 or db.ndim < 2:
         raise ShapeError(f"matmul: rank >= 2 required, got {da.shape} @ {db.shape}")
     if da.shape[-1] != db.shape[-2]:
         raise ShapeError(f"matmul: contraction mismatch {da.shape} @ {db.shape}")
+    if da.ndim > 2 and db.ndim == 2:
+        a2 = da.reshape(-1, da.shape[-1])   # a view: tensor data is C-contiguous
+
+        def vjp_rows(g):
+            g2 = g.reshape(-1, g.shape[-1])
+            return (g2 @ db.T).reshape(da.shape), a2.T @ g2
+
+        out = (a2 @ db).reshape(da.shape[:-1] + (db.shape[-1],))
+        return _emit("matmul", (a, b), out, vjp_rows)
     _leading_bcast_shape(da.shape[:-2], db.shape[:-2], "matmul")
     out = da @ db
 

@@ -187,15 +187,8 @@ def _write_csv(path: Path, columns, rows) -> None:
 _DECISION_FNS = {"ft-only": lambda loss, tau: True, "et-only": lambda loss, tau: False}
 
 
-def run_experiment(cfg: RunConfig, checkpoint_path, out_dir=None,
-                   clock=time.perf_counter) -> RunResult:
-    """Stream the corrupted instances through one adaptation mode.
-
-    Writes config_echo.cfg, per_instance.csv, round_summary.csv, and
-    summary.txt under out_dir (default: cfg.out_dir). The evaluated
-    prediction for each instance is the teacher's output on the unmasked
-    image, computed before that instance's update.
-    """
+def _load_matching(cfg: RunConfig, checkpoint_path):
+    """Validate cfg and load the checkpoint; refuse one built for another model."""
     checkpoint_path = Path(checkpoint_path)
     if not checkpoint_path.exists():
         raise FileNotFoundError(f"checkpoint not found: {checkpoint_path}")
@@ -205,6 +198,19 @@ def run_experiment(cfg: RunConfig, checkpoint_path, out_dir=None,
     if ckpt_config != expected:
         raise ValueError(f"checkpoint model config {ckpt_config} does not match "
                          f"run config {expected}")
+    return params, expected
+
+
+def run_experiment(cfg: RunConfig, checkpoint_path, out_dir=None,
+                   clock=time.perf_counter) -> RunResult:
+    """Stream the corrupted instances through one adaptation mode.
+
+    Writes config_echo.cfg, per_instance.csv, round_summary.csv, and
+    summary.txt under out_dir (default: cfg.out_dir). The evaluated
+    prediction for each instance is the teacher's output on the unmasked
+    image, computed before that instance's update.
+    """
+    params, expected = _load_matching(cfg, checkpoint_path)
     out_dir = Path(out_dir) if out_dir is not None else Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "config_echo.cfg").write_text(format_config(cfg))
@@ -331,6 +337,7 @@ def measure_throughput(result: RunResult) -> tuple:
 def run_mode_comparison(cfg: RunConfig, checkpoint_path, out_dir,
                         modes=MODES, clock=time.perf_counter) -> dict:
     """Run several modes on the same stream; writes modes_summary.csv."""
+    _load_matching(cfg, checkpoint_path)   # refuse before anything is written
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     results = {}

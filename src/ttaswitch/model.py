@@ -13,6 +13,13 @@ replaces whole patches with a learnable mask token at input-pixel level.
 `masked_losses` is the one training objective of both stages: source
 training scores it against true labels, test-time adaptation against the
 teacher's pseudo-labels.
+
+Images are `[..., c, h, w]`: the masking helpers, the encoder, the
+reconstruction decoder and `masked_losses` take one image `[c, h, w]` or
+a batch `[B, c, h, w]` with one optional leading axis, so source training
+records one tape per batch. A single image takes no op that a batch
+adds (the logits flatten only for a batch); the adaptation engine always
+passes one.
 """
 from __future__ import annotations
 
@@ -234,44 +241,55 @@ def draw_mask(num_patches: int, mask_ratio: float, seed: int, step: int) -> Patc
     return PatchMask(mask=m, seed=int(seed), step=int(step))
 
 
+def _lead(shape, rank: int, what: str) -> tuple[int, ...]:
+    """The optional batch axis in front of the trailing `rank` axes."""
+    if len(shape) not in (rank, rank + 1):
+        raise ValueError(f"{what}: expected rank {rank} or {rank + 1}, got {shape}")
+    return tuple(shape[:-rank])
+
+
 def patchify(x, patch_size: int) -> Tensor:
-    """[c, h, w] -> [num_patches, c*p*p], rows ordered row-major over the grid."""
+    """[..., c, h, w] -> [..., num_patches, c*p*p], rows row-major over the grid."""
     x = as_tensor(x)
-    if x.ndim != 3:
-        raise ValueError(f"patchify: expected [c, h, w], got {x.shape}")
-    c, h, w = x.shape
+    lead = _lead(x.shape, 3, "patchify")
+    c, h, w = x.shape[-3:]
     if h % patch_size or w % patch_size:
         raise ValueError(f"patchify: {h}x{w} not divisible by patch {patch_size}")
     gh, gw = h // patch_size, w // patch_size
-    t = reshape(x, (c, gh, patch_size, gw, patch_size))
-    t = transpose(t, (1, 3, 0, 2, 4))
-    return reshape(t, (gh * gw, c * patch_size * patch_size))
+    k = len(lead)
+    t = reshape(x, lead + (c, gh, patch_size, gw, patch_size))
+    t = transpose(t, tuple(range(k)) + (k + 1, k + 3, k, k + 2, k + 4))
+    return reshape(t, lead + (gh * gw, c * patch_size * patch_size))
 
 
 def unpatchify(tokens, channels: int, image_size: int, patch_size: int) -> Tensor:
-    """Inverse of patchify for a square image."""
-    g = image_size // patch_size
-    t = reshape(tokens, (g, g, channels, patch_size, patch_size))
-    t = transpose(t, (2, 0, 3, 1, 4))
-    return reshape(t, (channels, image_size, image_size))
+    """Inverse of patchify for square images: [..., n, c*p*p] -> [..., c, h, w]."""
+    tokens = as_tensor(tokens)
+    lead = _lead(tokens.shape, 2, "unpatchify")
+    g, k = image_size // patch_size, len(lead)
+    t = reshape(tokens, lead + (g, g, channels, patch_size, patch_size))
+    t = transpose(t, tuple(range(k)) + (k + 2, k, k + 3, k + 1, k + 4))
+    return reshape(t, lead + (channels, image_size, image_size))
 
 
 def apply_mask(x, patch_mask: PatchMask, mask_token: Tensor, config: ModelConfig) -> Tensor:
     """Replace masked patches of x with the (learnable) mask token.
 
-    Visible patches pass through bit-identical; gradient reaches the token
-    only via masked positions.
+    x is [c, h, w] with a mask of [num_patches], or [B, c, h, w] with a
+    mask of [B, num_patches]. Visible patches pass through bit-identical;
+    gradient reaches the token only via masked positions.
     """
     x = as_tensor(x)
-    if x.shape != (config.channels, config.image_size, config.image_size):
+    lead = _lead(x.shape, 3, "apply_mask")
+    if x.shape[-3:] != (config.channels, config.image_size, config.image_size):
         raise ValueError(f"apply_mask: image shape {x.shape} does not match config")
-    if patch_mask.mask.size != config.num_patches:
+    if patch_mask.mask.shape != lead + (config.num_patches,):
         raise ValueError("apply_mask: mask length does not match patch count")
     if mask_token.shape != (config.channels, config.patch_size, config.patch_size):
         raise ValueError(f"apply_mask: mask token shape {mask_token.shape} invalid")
     xp = patchify(x, config.patch_size)
-    col = patch_mask.mask.astype(np.float64)[:, None]
-    m = Tensor(np.broadcast_to(col, (config.num_patches, config.patch_dim)).copy())
+    col = patch_mask.mask.astype(np.float64)[..., None]
+    m = Tensor(np.broadcast_to(col, xp.shape).copy())
     inv = Tensor(1.0 - m.data)
     visible = mul(xp, inv)
     token_row = reshape(mask_token, (1, config.patch_dim))
@@ -281,11 +299,12 @@ def apply_mask(x, patch_mask: PatchMask, mask_token: Tensor, config: ModelConfig
 
 
 def pixel_mask(patch_mask: PatchMask, config: ModelConfig) -> np.ndarray:
-    """0/1 float mask at pixel level, [c, h, w]; 1 where patches are masked."""
+    """0/1 float mask at pixel level, [..., c, h, w]; 1 where patches are masked."""
     g, p = config.grid, config.patch_size
-    grid = patch_mask.mask.reshape(g, g).astype(np.float64)
-    plane = np.kron(grid, np.ones((p, p)))
-    return np.broadcast_to(plane, (config.channels, g * p, g * p)).copy()
+    lead = patch_mask.mask.shape[:-1]
+    grid = patch_mask.mask.reshape(lead + (g, g)).astype(np.float64)
+    plane = np.kron(grid, np.ones((p, p)))[..., None, :, :]
+    return np.broadcast_to(plane, lead + (config.channels, g * p, g * p)).copy()
 
 
 # ---------------------------------------------------------------------------
@@ -297,19 +316,22 @@ def _ln_affine(x, g: Tensor, b: Tensor) -> Tensor:
 
 
 def _attention(x, params: ParamStore, config: ModelConfig, pre: str) -> Tensor:
-    n = x.shape[0]
+    lead, n = x.shape[:-2], x.shape[-2]
     h, dh = config.heads, config.head_dim
+    r = len(lead)
+    heads_axes = tuple(range(r)) + (r + 1, r, r + 2)   # swaps tokens and heads
+    key_axes = tuple(range(r)) + (r, r + 2, r + 1)     # swaps the last two
 
     def proj(w, b):
         t = add(matmul(x, params[pre + "attn." + w]), params[pre + "attn." + b])
-        return transpose(reshape(t, (n, h, dh)), (1, 0, 2))  # [heads, n, dh]
+        return transpose(reshape(t, lead + (n, h, dh)), heads_axes)  # [..., heads, n, dh]
 
     q = proj("wq", "bq")
     k = proj("wk", "bk")
     v = proj("wv", "bv")
-    scores = scalar_mul(matmul(q, transpose(k, (0, 2, 1))), 1.0 / math.sqrt(dh))
+    scores = scalar_mul(matmul(q, transpose(k, key_axes)), 1.0 / math.sqrt(dh))
     attn = softmax_lastdim(scores)
-    ctx = reshape(transpose(matmul(attn, v), (1, 0, 2)), (n, config.embed_dim))
+    ctx = reshape(transpose(matmul(attn, v), heads_axes), lead + (n, config.embed_dim))
     return add(matmul(ctx, params[pre + "attn.wo"]), params[pre + "attn.bo"])
 
 
@@ -350,21 +372,21 @@ def _pos_embed_for_grid(params: ParamStore, config: ModelConfig, grid: int) -> T
 
 
 def encode(x, params: ParamStore, config: ModelConfig) -> Tensor:
-    """Image [c, h, w] -> patch features [num_patches, embed_dim].
+    """Images [..., c, h, w] -> patch features [..., num_patches, embed_dim].
 
     h == w and divisibility by the patch size are required. Inputs at a
     different resolution than the config are accepted only outside of a
     recording tape (position embeddings are bilinearly resized).
     """
     x = as_tensor(x)
-    if x.ndim != 3 or x.shape[0] != config.channels:
-        raise ValueError(f"encode: expected [{config.channels}, h, w], got {x.shape}")
-    if x.shape[1] != x.shape[2]:
+    if x.ndim not in (3, 4) or x.shape[-3] != config.channels:
+        raise ValueError(f"encode: expected [..., {config.channels}, h, w], got {x.shape}")
+    if x.shape[-2] != x.shape[-1]:
         raise ValueError(f"encode: image must be square, got {x.shape}")
-    if x.shape[1] % config.patch_size:
-        raise ValueError(f"encode: size {x.shape[1]} not divisible by patch "
+    if x.shape[-1] % config.patch_size:
+        raise ValueError(f"encode: size {x.shape[-1]} not divisible by patch "
                          f"{config.patch_size}")
-    grid = x.shape[1] // config.patch_size
+    grid = x.shape[-1] // config.patch_size
     tokens = add(matmul(patchify(x, config.patch_size), params["patch_embed.w"]),
                  params["patch_embed.b"])
     h = add(tokens, _pos_embed_for_grid(params, config, grid))
@@ -377,15 +399,15 @@ def encode(x, params: ParamStore, config: ModelConfig) -> Tensor:
 
 
 def seg_decode(z, params: ParamStore, config: ModelConfig) -> Tensor:
-    """Per-patch class logits [num_patches, num_classes]."""
+    """Per-patch class logits [..., num_patches, num_classes]."""
     return add(matmul(z, params["seg_head.w"]), params["seg_head.b"])
 
 
 def rec_decode(z, params: ParamStore, config: ModelConfig) -> Tensor:
-    """Per-pixel reconstruction [c, h, w] from patch features."""
+    """Per-pixel reconstruction [..., c, h, w] from patch features."""
     z = as_tensor(z)
     tokens = add(matmul(z, params["rec_head.w"]), params["rec_head.b"])
-    if z.shape[0] != config.num_patches:
+    if z.shape[-2] != config.num_patches:
         raise ValueError("rec_decode: token count does not match config grid")
     return unpatchify(tokens, config.channels, config.image_size, config.patch_size)
 
@@ -398,12 +420,20 @@ def masked_losses(image, labels, patch_mask: PatchMask, params: ParamStore,
     the segmentation logits by cross-entropy against `labels` and the
     reconstruction by L1 over the masked pixels of the original image. A
     non-finite image raises NonFiniteError before any forward.
+
+    A batch (image [B, c, h, w], labels [B, n], mask [B, n]) is scored in
+    one pass: the logits flatten to [B*n, c] for one cross-entropy, and one
+    L1 pools the masked pixels of every image. Both pooled means equal the
+    mean of the per-image losses, because every image has n valid labels
+    and every mask drawn by `draw_mask` covers round(ratio * n) patches,
+    so each image brings the same number of terms to each sum.
     """
     x_img = as_tensor(image)
     tokens = encode(apply_mask(x_img, patch_mask, params["mask_token"], config),
                     params, config)
     logits = seg_decode(tokens, params, config)
-    loss_seg = ad.cross_entropy(logits, np.asarray(labels))
+    flat = logits if logits.ndim == 2 else reshape(logits, (-1, config.num_classes))
+    loss_seg = ad.cross_entropy(flat, np.asarray(labels).reshape(-1))
     loss_rec = ad.l1_masked(rec_decode(tokens, params, config), x_img,
                             Tensor(pixel_mask(patch_mask, config)))
     return loss_seg, loss_rec, logits

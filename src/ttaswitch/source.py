@@ -3,9 +3,10 @@
 Every training step masks a random subset of patches of each image and
 optimizes the batch means of the masked objective `model.masked_losses`:
 per-patch segmentation cross-entropy against the true labels plus the L1
-reconstruction loss over the masked pixels. All parameter groups —
-backbone, adapters, heads, and the mask token — receive updates during
-this stage.
+reconstruction loss over the masked pixels. The batch goes through the
+model as one `[B, c, h, w]` tensor, so a step records one tape for the
+whole batch. All parameter groups — backbone, adapters, heads, and the
+mask token — receive updates during this stage.
 """
 from __future__ import annotations
 
@@ -64,32 +65,19 @@ def source_step(batch: SourceBatch, params: ParamStore, config: m.ModelConfig,
 
 def _source_step_inner(batch, params, config, optimizer, lr, mask_seed, step):
     n_img = len(batch.images)
+    stacked = m.PatchMask(np.stack([
+        m.draw_mask(config.num_patches, config.mask_ratio, mask_seed, step * n_img + i).mask
+        for i in range(n_img)]), seed=mask_seed, step=step * n_img)
     tape = ad.Tape()
     with ad.recording(tape):
-        seg_terms = []
-        rec_terms = []
-        for i, image in enumerate(batch.images):
-            pm = m.draw_mask(config.num_patches, config.mask_ratio, mask_seed,
-                             step * n_img + i)
-            seg, rec, _ = m.masked_losses(image, batch.labels[i], pm, params, config)
-            seg_terms.append(seg)
-            rec_terms.append(rec)
-        loss_seg = _mean_of(seg_terms)
-        loss_rec = _mean_of(rec_terms)
+        loss_seg, loss_rec, _ = m.masked_losses(np.stack(batch.images),
+                                                np.stack(batch.labels), stacked,
+                                                params, config)
         loss_total = ad.add(loss_seg, loss_rec)
         ad.backward(loss_total)
     tape.nodes.clear()   # break the tape -> node -> tensor -> tape cycle now
     optimizer.step(params, group_filter=params.groups_present(), lr=lr)
     return (float(loss_total.data), float(loss_seg.data), float(loss_rec.data))
-
-
-def _mean_of(terms):
-    acc = terms[0]
-    for t in terms[1:]:
-        acc = ad.add(acc, t)
-    if len(terms) > 1:
-        acc = ad.scalar_mul(acc, 1.0 / len(terms))
-    return acc
 
 
 EPOCH_LOG_COLUMNS = ("epoch", "loss_total", "loss_seg", "loss_rec")

@@ -299,6 +299,45 @@ def test_grad_matmul_batched_broadcast():
         assert rel_err(ana, num) <= 1e-6
 
 
+def test_matmul_stacked_by_2d_matches_slice_loop():
+    # relative tolerance: largest deviation over the largest reference entry
+    rng = np.random.default_rng(12)
+    b = rng.normal(size=(4, 6))
+    for lead in ((3,), (2, 3)):
+        a = rng.normal(size=lead + (5, 4))
+        g = rng.normal(size=lead + (5, 6))
+        ta, tb = Tensor(a, requires_grad=True), Tensor(b, requires_grad=True)
+        with recording() as tape:
+            out = matmul(ta, tb)
+        ga, gb = tape.nodes[-1].vjp(g)
+        want_out = np.empty(lead + (5, 6))
+        want_ga = np.empty(a.shape)
+        want_gb = np.zeros(b.shape)
+        for i in np.ndindex(*lead):
+            want_out[i] = a[i] @ b
+            want_ga[i] = g[i] @ b.T
+            want_gb += a[i].T @ g[i]
+        for got, want in ((out.data, want_out), (ga, want_ga), (gb, want_gb)):
+            assert got.shape == want.shape
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_grad_matmul_stacked_by_2d():
+    rng = np.random.default_rng(13)
+    weights = Tensor(rng.normal(size=(2, 3, 5)))
+    arrays = {"a": rng.normal(size=(2, 3, 4)), "b": rng.normal(size=(4, 5))}
+    for wrt in ("a", "b"):
+        ana, num = _grad_of(lambda t: mean(mul(matmul(t["a"], t["b"]), weights)),
+                            arrays, wrt)
+        assert rel_err(ana, num) <= 1e-6
+
+
+def test_matmul_rank2_is_plain_product_bits():
+    rng = np.random.default_rng(14)
+    a, b = rng.normal(size=(7, 4)), rng.normal(size=(4, 6))
+    assert matmul(Tensor(a), Tensor(b)).data.tobytes() == (a @ b).tobytes()
+
+
 def test_grad_elementwise_and_broadcast():
     rng = np.random.default_rng(12)
     arrays = {"a": rng.normal(size=(4, 3)), "b": rng.normal(size=(3,))}

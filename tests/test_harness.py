@@ -194,6 +194,9 @@ def test_checkpoint_config_mismatch_rejected(checkpoint, tmp_path):
     assert not (tmp_path / "x").exists()   # nothing written for a refused run
     with pytest.raises(FileNotFoundError, match="checkpoint"):
         run_experiment(tiny_cfg(), tmp_path / "missing.htta", tmp_path / "y")
+    with pytest.raises(ValueError, match="does not match"):
+        run_mode_comparison(tiny_cfg(embed_dim=32), checkpoint, tmp_path / "cmp")
+    assert not (tmp_path / "cmp").exists()
 
 
 def test_run_mode_comparison(checkpoint, tmp_path):

@@ -5,6 +5,7 @@ from ttaswitch.autodiff import (
     NonFiniteError,
     Optimizer,
     Tensor,
+    add,
     backward,
     cross_entropy,
     l1_masked,
@@ -12,12 +13,14 @@ from ttaswitch.autodiff import (
 )
 from ttaswitch.model import (
     ModelConfig,
+    PatchMask,
     adapter_fraction,
     apply_mask,
     draw_mask,
     encode,
     init_params,
     insert_adapters,
+    masked_losses,
     parameter_names,
     patchify,
     pixel_mask,
@@ -159,6 +162,70 @@ def test_patchify_roundtrip_bits():
     t = patchify(Tensor(x), cfg.patch_size)
     back = unpatchify(t, cfg.channels, cfg.image_size, cfg.patch_size)
     assert back.data.tobytes() == np.ascontiguousarray(x).tobytes()
+
+
+def test_batch_axis_masks_each_image_as_alone():
+    cfg = TINY
+    store = init_params(cfg, seed=2)
+    xs = np.stack([_image(cfg, seed=s) for s in (5, 6, 7)])
+    pms = [draw_mask(cfg.num_patches, 0.5, seed=1, step=s) for s in range(3)]
+    stacked = PatchMask(np.stack([pm.mask for pm in pms]), seed=1, step=0)
+    out = apply_mask(xs, stacked, store["mask_token"], cfg)
+    pix = pixel_mask(stacked, cfg)
+    tokens = patchify(Tensor(xs), cfg.patch_size)
+    assert tokens.shape == (3, cfg.num_patches, cfg.patch_dim)
+    back = unpatchify(tokens, cfg.channels, cfg.image_size, cfg.patch_size)
+    assert back.data.tobytes() == xs.tobytes()
+    for i, pm in enumerate(pms):
+        assert out.data[i].tobytes() == apply_mask(xs[i], pm, store["mask_token"],
+                                                   cfg).data.tobytes()
+        assert pix[i].tobytes() == pixel_mask(pm, cfg).tobytes()
+        assert tokens.data[i].tobytes() == patchify(Tensor(xs[i]),
+                                                    cfg.patch_size).data.tobytes()
+    with pytest.raises(ValueError, match="mask length"):
+        apply_mask(xs, pms[0], store["mask_token"], cfg)
+
+
+def test_masked_losses_batch_matches_per_image_mean():
+    # tolerances fixed in advance, relative to the largest reference entry
+    cfg = TINY
+    rng = np.random.default_rng(21)
+    store = init_params(cfg, seed=8)
+    # random adapters (the up-projections start at zero), so every gradient moves
+    for name in store.group_names("adapter"):
+        store[name].data[:] = rng.normal(0.0, 0.05, store[name].shape)
+    images = np.stack([_image(cfg, seed=s) for s in (30, 31, 32)])
+    labels = rng.integers(0, cfg.num_classes, size=(3, cfg.num_patches))
+    masks = [draw_mask(cfg.num_patches, cfg.mask_ratio, seed=4, step=s) for s in range(3)]
+
+    ref_losses = np.zeros(2)
+    ref_grads = {n: np.zeros(store[n].shape) for n in store.names()}
+    for i in range(3):     # the reference: one image at a time, then the mean
+        with recording():
+            seg, rec, _ = masked_losses(images[i], labels[i], masks[i], store, cfg)
+            backward(add(seg, rec))
+        ref_losses += [float(seg.data) / 3, float(rec.data) / 3]
+        for n in store.names():
+            ref_grads[n] += store[n].grad / 3
+        store.zero_grad()
+
+    stacked = PatchMask(np.stack([pm.mask for pm in masks]), seed=4, step=0)
+    with recording():
+        seg, rec, logits = masked_losses(images, labels, stacked, store, cfg)
+        backward(add(seg, rec))
+    assert logits.shape == (3, cfg.num_patches, cfg.num_classes)
+    got = np.array([float(seg.data), float(rec.data)])
+    assert np.all(np.abs(got - ref_losses) <= 1e-12 * np.abs(ref_losses))
+    scale = max(np.abs(g).max() for g in ref_grads.values())
+    for n in store.names():
+        got, want = store[n].grad, ref_grads[n]
+        if n.endswith("attn.bk"):
+            # exactly zero: a key bias shifts each score row by a constant,
+            # which the softmax ignores; both sides hold rounding residue only
+            assert max(np.abs(got).max(), np.abs(want).max()) <= 1e-12 * scale, n
+            continue
+        assert np.abs(want).max() > 0, n
+        assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max(), n
 
 
 # ---------------------------------------------------------------------------

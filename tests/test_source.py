@@ -5,7 +5,7 @@ import pytest
 
 from ttaswitch.autodiff import Optimizer
 from ttaswitch.checkpoint import load_checkpoint
-from ttaswitch.model import ModelConfig, init_params
+from ttaswitch.model import ModelConfig, draw_mask, init_params, masked_losses
 from ttaswitch.source import (SourceBatch, make_source_scenes, source_step,
                               train_source)
 
@@ -37,6 +37,48 @@ def test_step_updates_every_group():
     for g, snap in before.items():
         assert params.snapshot_bytes(params.group_names(g)) != snap, g
     assert all(params[n].grad is None for n in params.names())
+
+
+def test_batched_step_losses_are_per_image_means():
+    params = init_params(TINY, seed=0)
+    batch = _batch(TINY, 3)
+    step = 5
+    ref = np.zeros(2)
+    for i, (image, labels) in enumerate(zip(batch.images, batch.labels)):
+        # the reference: one image at a time, with mask (seed, step * B + i)
+        pm = draw_mask(TINY.num_patches, TINY.mask_ratio, 9, step * 3 + i)
+        seg, rec, _ = masked_losses(image, labels, pm, params, TINY)
+        ref += [float(seg.data) / 3, float(rec.data) / 3]
+    _, seg, rec = source_step(batch, params.clone(), TINY, Optimizer("adam"), 1e-3,
+                              mask_seed=9, step=step)
+    assert np.all(np.abs(np.array([seg, rec]) - ref) <= 1e-12 * ref)
+
+
+def test_batched_step_gradient_matches_finite_differences():
+    # one entry per parameter group: (name, index)
+    entries = (("blocks.0.attn.wq", (1, 2)), ("blocks.1.adapter.up.w", (2, 1)),
+               ("seg_head.w", (3, 1)), ("rec_head.w", (0, 3)), ("mask_token", (0, 1, 1)))
+    params = init_params(TINY, seed=0)
+    assert {params.group_of(n) for n, _ in entries} == set(params.groups_present())
+    batch = _batch(TINY, 2)
+
+    def loss(store):
+        return source_step(batch, store, TINY, Optimizer("sgd"), 1.0, mask_seed=0,
+                           step=0)[0]
+
+    stepped = params.clone()
+    loss(stepped)   # SGD at lr 1: parameter before minus after is the gradient
+    h = 1e-6
+    for name, idx in entries:
+        tape = params[name].data[idx] - stepped[name].data[idx]
+        shifted = []
+        for sign in (1.0, -1.0):
+            store = params.clone()
+            store[name].data[idx] += sign * h
+            shifted.append(loss(store))
+        fd = (shifted[0] - shifted[1]) / (2 * h)
+        assert tape != 0.0, name
+        assert abs(tape - fd) <= 1e-8 + 1e-5 * abs(fd), (name, tape, fd)
 
 
 def test_steps_are_deterministic():
