@@ -260,12 +260,6 @@ class AdaptationEngine:
 
 def init_adaptation(params: ParamStore, config: m.ModelConfig,
                     **engine_kwargs) -> AdaptationEngine:
-    """Build an engine from checkpoint contents, validating the name set."""
-    expected = m.parameter_names(config)
-    got = params.names()
-    missing = sorted(set(expected) - set(got))
-    unexpected = sorted(set(got) - set(expected))
-    if missing or unexpected:
-        raise ValueError(f"parameter set mismatch: missing {missing}, "
-                         f"unexpected {unexpected}")
+    """Build an engine from checkpoint contents that fit the config's layout."""
+    m.check_layout(params.entries(), config)
     return AdaptationEngine(params, config, **engine_kwargs)

@@ -472,6 +472,9 @@ def backward(loss: Tensor) -> None:
 # optimizer
 # ---------------------------------------------------------------------------
 
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
+
 class Optimizer:
     """Adam (default) or plain SGD over a ParamStore, with group filtering.
 
@@ -480,14 +483,10 @@ class Optimizer:
     Parameters whose `.grad` is None are skipped without advancing state.
     """
 
-    def __init__(self, kind: str = "adam", beta1: float = 0.9, beta2: float = 0.999,
-                 eps: float = 1e-8):
+    def __init__(self, kind: str = "adam"):
         if kind not in ("adam", "sgd"):
             raise ValueError(f"unknown optimizer kind '{kind}'")
         self.kind = kind
-        self.beta1 = float(beta1)
-        self.beta2 = float(beta2)
-        self.eps = float(eps)
         self._m: dict[str, np.ndarray] = {}
         self._v: dict[str, np.ndarray] = {}
         self._t: dict[str, int] = {}
@@ -522,13 +521,13 @@ class Optimizer:
                 v = self._v[name]
                 t = self._t[name] + 1
                 self._t[name] = t
-                m *= self.beta1
-                m += (1.0 - self.beta1) * g
-                v *= self.beta2
-                v += (1.0 - self.beta2) * (g * g)
-                mhat = m / (1.0 - self.beta1 ** t)
-                vhat = v / (1.0 - self.beta2 ** t)
-                p.data -= lr * mhat / (np.sqrt(vhat) + self.eps)
+                m *= ADAM_BETA1
+                m += (1.0 - ADAM_BETA1) * g
+                v *= ADAM_BETA2
+                v += (1.0 - ADAM_BETA2) * (g * g)
+                mhat = m / (1.0 - ADAM_BETA1 ** t)
+                vhat = v / (1.0 - ADAM_BETA2 ** t)
+                p.data -= lr * mhat / (np.sqrt(vhat) + ADAM_EPS)
             updated.append(name)
         for n in params.names():
             params[n].grad = None

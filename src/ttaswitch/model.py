@@ -111,77 +111,72 @@ class ModelConfig:
 _INIT_STD = 0.02
 
 
-def _normal(rng, shape):
-    return rng.normal(0.0, _INIT_STD, size=shape)
+def parameter_layout(config: ModelConfig, include_adapters: bool = True) -> list[tuple]:
+    """Every parameter as (name, shape, group, init), in store order.
 
-
-def _adapter_names(i: int) -> list[str]:
-    pre = f"blocks.{i}.adapter."
-    return [pre + s for s in ("down.w", "down.b", "up.w", "up.b")]
-
-
-def parameter_names(config: ModelConfig, include_adapters: bool = True) -> list[str]:
-    """Canonical parameter name list for a config, in insertion order."""
-    names = ["patch_embed.w", "patch_embed.b", "pos_embed"]
+    `init` is "normal" (N(0, 0.02), drawn in table order), "zeros" or
+    "ones". This table is the one schema of the parameters: `init_params`
+    and `insert_adapters` build stores from it, and `check_layout` holds
+    any store or checkpoint header to it.
+    """
+    d, f, r, pd = config.embed_dim, config.mlp_dim, config.adapter_dim, config.patch_dim
+    bb = "backbone"
+    rows = [("patch_embed.w", (pd, d), bb, "normal"), ("patch_embed.b", (d,), bb, "zeros"),
+            ("pos_embed", (config.num_patches, d), bb, "normal")]
     for i in range(config.depth):
         pre = f"blocks.{i}."
-        names += [pre + "ln1.g", pre + "ln1.b"]
-        names += [pre + f"attn.{w}" for w in ("wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo")]
-        names += [pre + "ln2.g", pre + "ln2.b"]
-        names += [pre + f"mlp.{w}" for w in ("w1", "b1", "w2", "b2")]
+        rows += [(pre + "ln1.g", (d,), bb, "ones"), (pre + "ln1.b", (d,), bb, "zeros")]
+        for w, b in (("wq", "bq"), ("wk", "bk"), ("wv", "bv"), ("wo", "bo")):
+            rows += [(pre + "attn." + w, (d, d), bb, "normal"),
+                     (pre + "attn." + b, (d,), bb, "zeros")]
+        rows += [(pre + "ln2.g", (d,), bb, "ones"), (pre + "ln2.b", (d,), bb, "zeros"),
+                 (pre + "mlp.w1", (d, f), bb, "normal"), (pre + "mlp.b1", (f,), bb, "zeros"),
+                 (pre + "mlp.w2", (f, d), bb, "normal"), (pre + "mlp.b2", (d,), bb, "zeros")]
         if include_adapters:
-            names += _adapter_names(i)
-    names += ["final_ln.g", "final_ln.b", "seg_head.w", "seg_head.b"]
-    names += ["rec_head.w", "rec_head.b", "mask_token"]
-    return names
+            # zero-initialized up-projection: a fresh adapter is the identity map
+            rows += [(pre + "adapter.down.w", (d, r), "adapter", "normal"),
+                     (pre + "adapter.down.b", (r,), "adapter", "zeros"),
+                     (pre + "adapter.up.w", (r, d), "adapter", "zeros"),
+                     (pre + "adapter.up.b", (d,), "adapter", "zeros")]
+    c, p = config.num_classes, config.patch_size
+    return rows + [("final_ln.g", (d,), bb, "ones"), ("final_ln.b", (d,), bb, "zeros"),
+                   ("seg_head.w", (d, c), "seg_head", "normal"),
+                   ("seg_head.b", (c,), "seg_head", "zeros"),
+                   ("rec_head.w", (d, pd), "rec_head", "normal"),
+                   ("rec_head.b", (pd,), "rec_head", "zeros"),
+                   ("mask_token", (config.channels, p, p), "mask_token", "normal")]
+
+
+def _fill(store: ParamStore, rows, seed: int) -> ParamStore:
+    rng = np.random.default_rng(seed)
+    for name, shape, group, init in rows:
+        value = (rng.normal(0.0, _INIT_STD, size=shape) if init == "normal"
+                 else np.full(shape, 1.0 if init == "ones" else 0.0))
+        store.add(name, Tensor(value, requires_grad=True), group)
+    return store
+
+
+def check_layout(entries, config: ModelConfig, include_adapters: bool = True) -> None:
+    """Raise ValueError unless the (name, shape, group) entries are the layout.
+
+    Entries compare as a set, in any order; the message names every
+    missing, unexpected and mismatched parameter.
+    """
+    want = {name: (tuple(shape), group)
+            for name, shape, group, _ in parameter_layout(config, include_adapters)}
+    got = {name: (tuple(shape), group) for name, shape, group in entries}
+    missing = sorted(want.keys() - got.keys())
+    unexpected = sorted(got.keys() - want.keys())
+    mismatched = [f"{n} {got[n]} (expected {want[n]})"
+                  for n in sorted(want.keys() & got.keys()) if got[n] != want[n]]
+    if missing or unexpected or mismatched:
+        raise ValueError(f"parameter layout does not fit the config: missing {missing}, "
+                         f"unexpected {unexpected}, mismatched {mismatched}")
 
 
 def init_params(config: ModelConfig, seed: int = 0, include_adapters: bool = True) -> ParamStore:
     """Freshly initialized parameters. Adapter up-projections start at zero."""
-    rng = np.random.default_rng(seed)
-    d = config.embed_dim
-    store = ParamStore()
-
-    def p(name, value, group):
-        store.add(name, Tensor(value, requires_grad=True), group)
-
-    p("patch_embed.w", _normal(rng, (config.patch_dim, d)), "backbone")
-    p("patch_embed.b", np.zeros(d), "backbone")
-    p("pos_embed", _normal(rng, (config.num_patches, d)), "backbone")
-    for i in range(config.depth):
-        pre = f"blocks.{i}."
-        p(pre + "ln1.g", np.ones(d), "backbone")
-        p(pre + "ln1.b", np.zeros(d), "backbone")
-        for w, b in (("wq", "bq"), ("wk", "bk"), ("wv", "bv"), ("wo", "bo")):
-            p(pre + "attn." + w, _normal(rng, (d, d)), "backbone")
-            p(pre + "attn." + b, np.zeros(d), "backbone")
-        p(pre + "ln2.g", np.ones(d), "backbone")
-        p(pre + "ln2.b", np.zeros(d), "backbone")
-        p(pre + "mlp.w1", _normal(rng, (d, config.mlp_dim)), "backbone")
-        p(pre + "mlp.b1", np.zeros(config.mlp_dim), "backbone")
-        p(pre + "mlp.w2", _normal(rng, (config.mlp_dim, d)), "backbone")
-        p(pre + "mlp.b2", np.zeros(d), "backbone")
-        if include_adapters:
-            _add_adapter(store, config, i, rng)
-    p("final_ln.g", np.ones(d), "backbone")
-    p("final_ln.b", np.zeros(d), "backbone")
-    p("seg_head.w", _normal(rng, (d, config.num_classes)), "seg_head")
-    p("seg_head.b", np.zeros(config.num_classes), "seg_head")
-    p("rec_head.w", _normal(rng, (d, config.patch_dim)), "rec_head")
-    p("rec_head.b", np.zeros(config.patch_dim), "rec_head")
-    p("mask_token", _normal(rng, (config.channels, config.patch_size, config.patch_size)),
-      "mask_token")
-    return store
-
-
-def _add_adapter(store: ParamStore, config: ModelConfig, i: int, rng) -> None:
-    pre = f"blocks.{i}.adapter."
-    d, r = config.embed_dim, config.adapter_dim
-    store.add(pre + "down.w", Tensor(_normal(rng, (d, r)), requires_grad=True), "adapter")
-    store.add(pre + "down.b", Tensor(np.zeros(r), requires_grad=True), "adapter")
-    # zero-initialized up-projection: a fresh adapter is the identity map
-    store.add(pre + "up.w", Tensor(np.zeros((r, d)), requires_grad=True), "adapter")
-    store.add(pre + "up.b", Tensor(np.zeros(d), requires_grad=True), "adapter")
+    return _fill(ParamStore(), parameter_layout(config, include_adapters), seed)
 
 
 def insert_adapters(store: ParamStore, config: ModelConfig, seed: int = 0) -> ParamStore:
@@ -190,12 +185,8 @@ def insert_adapters(store: ParamStore, config: ModelConfig, seed: int = 0) -> Pa
     Because up-projections start at zero, every model output is unchanged
     until the first optimizer step that touches the adapter group.
     """
-    rng = np.random.default_rng(seed)
-    for i in range(config.depth):
-        if _adapter_names(i)[0] in store:
-            raise ValueError(f"block {i} already has adapter parameters")
-        _add_adapter(store, config, i, rng)
-    return store
+    check_layout(store.entries(), config, include_adapters=False)
+    return _fill(store, [row for row in parameter_layout(config) if row[2] == "adapter"], seed)
 
 
 def adapter_fraction(store: ParamStore) -> float:

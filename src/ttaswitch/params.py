@@ -4,7 +4,7 @@ Every parameter is a float64 Tensor registered under a unique dotted name
 and tagged with one of five groups. The groups drive the optimizer's
 group filter (full tuning updates all of them, efficient tuning a subset),
 the teacher snapshot (which drops the reconstruction head and mask token),
-and the checkpoint entry table.
+and the checkpoint header. `model.parameter_layout` assigns each group.
 """
 from __future__ import annotations
 
@@ -51,6 +51,10 @@ class ParamStore:
 
     def tensors(self):
         return self._tensors.values()
+
+    def entries(self) -> list[tuple]:
+        """(name, shape, group) of every parameter, in store order."""
+        return [(n, t.shape, self._groups[n]) for n, t in self._tensors.items()]
 
     def group_of(self, name: str) -> str:
         return self._groups[name]

@@ -29,6 +29,7 @@ _CLASS_COLORS = np.array([
     (0.20, 0.75, 0.75),
 ])
 _SHAPES = ("disk", "square", "triangle", "diamond")
+MIN_OBJECTS, MAX_OBJECTS = 2, 5   # objects per scene, capped by the classes available
 
 
 @dataclass(frozen=True)
@@ -37,8 +38,6 @@ class SceneSpec:
     patch_size: int = 4
     channels: int = 3
     num_classes: int = 5
-    min_objects: int = 2
-    max_objects: int = 5
 
     def __post_init__(self):
         if self.channels != 3:
@@ -47,8 +46,6 @@ class SceneSpec:
             raise ValueError("image_size must be divisible by patch_size")
         if not 2 <= self.num_classes <= len(_CLASS_COLORS) + 1:
             raise ValueError(f"num_classes must lie in [2, {len(_CLASS_COLORS) + 1}]")
-        if not 0 <= self.min_objects <= self.max_objects:
-            raise ValueError("need 0 <= min_objects <= max_objects")
 
     @property
     def grid(self) -> int:
@@ -94,8 +91,8 @@ def generate_scene(seed: int, spec: SceneSpec) -> Scene:
     image += rng.normal(0.0, 0.02, size=image.shape)
 
     class_map = np.zeros((h, w), dtype=np.int64)
-    max_obj = min(spec.max_objects, spec.num_classes - 1)
-    n_obj = int(rng.integers(spec.min_objects, max_obj + 1))
+    max_obj = min(MAX_OBJECTS, spec.num_classes - 1)
+    n_obj = int(rng.integers(min(MIN_OBJECTS, max_obj), max_obj + 1))
     classes = rng.choice(np.arange(1, spec.num_classes), size=n_obj, replace=False)
     layout = []
     for cls in classes:
@@ -119,14 +116,10 @@ def generate_scene(seed: int, spec: SceneSpec) -> Scene:
 
 def majority_patch_labels(class_map: np.ndarray, patch_size: int, num_classes: int) -> np.ndarray:
     """Per-patch majority class; ties resolve to the lowest class index."""
-    h, w = class_map.shape
-    g = h // patch_size
+    g = class_map.shape[0] // patch_size
     patches = class_map.reshape(g, patch_size, g, patch_size).transpose(0, 2, 1, 3)
-    patches = patches.reshape(g * g, patch_size * patch_size)
-    out = np.empty(g * g, dtype=np.int64)
-    for i in range(g * g):
-        out[i] = np.argmax(np.bincount(patches[i], minlength=num_classes))
-    return out
+    onehot = patches.reshape(g * g, -1, 1) == np.arange(num_classes)
+    return np.argmax(onehot.sum(axis=1), axis=1)
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,11 @@ perturbations of raw numpy buffers and never touches `.grad`.
 """
 from __future__ import annotations
 
+import json
+import struct
+import zlib
+from dataclasses import asdict
+
 import numpy as np
 
 
@@ -43,3 +48,18 @@ def make_fake_clock(tick: float = 0.001):
         return state["t"]
 
     return clock
+
+
+def write_raw_checkpoint(path, header: bytes, payload: bytes = b""):
+    """A version-3 checkpoint file from raw header and payload bytes, CRC included."""
+    body = struct.pack("<4sII", b"HTTA", 3, len(header)) + header + payload
+    path.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
+    return path
+
+
+def write_unchecked_checkpoint(path, params, config):
+    """A version-3 checkpoint of any store, written without the layout check."""
+    header = json.dumps({"config": asdict(config), "entries": params.entries()},
+                        sort_keys=True, separators=(",", ":")).encode("utf-8")
+    return write_raw_checkpoint(path, header,
+                                b"".join(params[n].data.tobytes() for n in params.names()))

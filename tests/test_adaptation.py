@@ -10,7 +10,7 @@ from ttaswitch.adaptation import (ET, FT, SKIP, TEACHER_GROUPS, decide_shift,
 from ttaswitch.autodiff import NonFiniteError, Optimizer, Tensor
 from ttaswitch.checkpoint import load_checkpoint
 from ttaswitch.harness import RunConfig
-from ttaswitch.model import (ModelConfig, draw_mask, masked_losses, parameter_names,
+from ttaswitch.model import (ModelConfig, draw_mask, masked_losses, parameter_layout,
                              predict)
 from ttaswitch.params import ParamStore
 from ttaswitch.source import SourceBatch, scene_spec_for, source_step, train_source
@@ -294,7 +294,7 @@ def test_init_adaptation_name_validation(trained):
     extra.add("rogue.w", Tensor(np.zeros(3)), "backbone")
     with pytest.raises(ValueError, match="unexpected"):
         init_adaptation(extra, config)
-    assert set(parameter_names(config)) == set(params.names())
+    assert {row[0] for row in parameter_layout(config)} == set(params.names())
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,18 @@
+import json
 import struct
 import zlib
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
 
+from helpers import write_raw_checkpoint, write_unchecked_checkpoint
 from ttaswitch.checkpoint import MAGIC, load_checkpoint, save_checkpoint
 from ttaswitch.model import ModelConfig, init_params
 
 TINY = ModelConfig(image_size=8, patch_size=4, embed_dim=16, depth=2, heads=2,
                    num_classes=3, adapter_dim=6)
+WIDE = replace(TINY, embed_dim=32)   # the same names, other shapes
 
 
 @pytest.fixture()
@@ -102,3 +106,42 @@ def test_values_survive_mutation_roundtrip(saved, tmp_path):
     path2 = save_checkpoint(tmp_path / "m.htta", params, TINY)
     loaded, _ = load_checkpoint(path2)
     assert np.all(loaded["pos_embed"].data == np.pi)
+
+
+def test_save_refuses_store_that_does_not_fit_config(tmp_path):
+    wide = init_params(WIDE, seed=0)
+    assert wide.names() == init_params(TINY, seed=0).names()
+    with pytest.raises(ValueError, match="mismatched .*patch_embed.w"):
+        save_checkpoint(tmp_path / "w.htta", wide, TINY)
+    assert not (tmp_path / "w.htta").exists()
+
+
+def test_load_refuses_header_that_does_not_fit_config(tmp_path):
+    fitting = init_params(TINY, seed=0)
+    reordered = fitting.subset(reversed(fitting.names()))
+    loaded, _ = load_checkpoint(write_unchecked_checkpoint(tmp_path / "r.htta", reordered, TINY))
+    assert loaded.names() == reordered.names()   # any order fits; file order is kept
+    path = write_unchecked_checkpoint(tmp_path / "w.htta", init_params(WIDE, seed=0), TINY)
+    with pytest.raises(ValueError, match="mismatched .*patch_embed.w"):
+        load_checkpoint(path)
+
+
+def test_malformed_header_rejected(tmp_path):
+    with pytest.raises(ValueError, match="invalid checkpoint header"):
+        load_checkpoint(write_raw_checkpoint(tmp_path / "j.htta", b"{not json"))
+    params = init_params(TINY, seed=0)
+    entries = [[n, [float(d) for d in s], g] for n, s, g in params.entries()]
+    header = json.dumps({"config": asdict(TINY), "entries": entries}).encode("utf-8")
+    payload = b"".join(params[n].data.tobytes() for n in params.names())
+    with pytest.raises(ValueError, match="non-integer shape"):
+        load_checkpoint(write_raw_checkpoint(tmp_path / "f.htta", header, payload))
+
+
+def test_adapter_free_store_saves_and_partial_adapters_do_not(tmp_path):
+    bare = init_params(TINY, seed=3, include_adapters=False)
+    loaded, _ = load_checkpoint(save_checkpoint(tmp_path / "b.htta", bare, TINY))
+    assert loaded.names() == bare.names()
+    full = init_params(TINY, seed=3)
+    partial = full.subset([n for n in full.names() if n != "blocks.1.adapter.up.b"])
+    with pytest.raises(ValueError, match="missing .*blocks.1.adapter.up.b"):
+        save_checkpoint(tmp_path / "p.htta", partial, TINY)

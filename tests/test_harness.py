@@ -1,14 +1,19 @@
 import math
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
-from helpers import make_fake_clock
+from helpers import make_fake_clock, write_unchecked_checkpoint
 from ttaswitch.harness import (MODES, PER_INSTANCE_COLUMNS, ROUND_SUMMARY_COLUMNS,
                                RunConfig, format_config, load_config,
                                measure_throughput, parse_config_text,
                                read_per_instance_csv, round_summary,
                                run_experiment, run_mode_comparison, validate_config)
+from ttaswitch.model import init_params
 from ttaswitch.source import train_source
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 TINY_KW = dict(image_size=8, patch_size=4, embed_dim=16, depth=2, heads=2,
                num_classes=3, adapter_dim=6, domains=("fog", "night"),
@@ -46,6 +51,15 @@ def test_config_defaults_are_the_reference_recipe():
     assert (cfg.source_scenes, cfg.source_epochs, cfg.batch_size) == (200, 30, 8)
     assert cfg.mode == "hybrid" and cfg.optimizer == "adam"
     assert parse_config_text("") == cfg
+
+
+def test_shipped_configs_override_the_defaults():
+    assert load_config(CONFIGS / "default.cfg") == RunConfig()
+    for name in ("ft_only", "et_only", "no_adapt"):
+        assert load_config(CONFIGS / f"{name}.cfg") == replace(
+            RunConfig(), mode=name.replace("_", "-"), out_dir=f"runs/{name}")
+    smoke = load_config(CONFIGS / "smoke.cfg")   # parses and validates
+    assert smoke.mode == "hybrid" and smoke.out_dir == "runs/smoke"
 
 
 def test_config_comments_and_whitespace():
@@ -197,6 +211,15 @@ def test_checkpoint_config_mismatch_rejected(checkpoint, tmp_path):
     with pytest.raises(ValueError, match="does not match"):
         run_mode_comparison(tiny_cfg(embed_dim=32), checkpoint, tmp_path / "cmp")
     assert not (tmp_path / "cmp").exists()
+
+
+def test_checkpoint_that_does_not_fit_its_config_refused_before_writing(tmp_path):
+    cfg = tiny_cfg()
+    wide = init_params(replace(cfg.model_config(), embed_dim=32), seed=0)
+    path = write_unchecked_checkpoint(tmp_path / "wide.htta", wide, cfg.model_config())
+    with pytest.raises(ValueError, match="mismatched"):
+        run_experiment(cfg, path, tmp_path / "out")
+    assert not (tmp_path / "out").exists()
 
 
 def test_run_mode_comparison(checkpoint, tmp_path):

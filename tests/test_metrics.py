@@ -37,3 +37,14 @@ def test_miou_validation():
     with pytest.raises(ValueError, match="nonnegative"):
         compute_miou([-1, 0], [0, 0])
 
+
+
+def test_miou_matches_per_class_loop_on_random_labels():
+    rng = np.random.default_rng(5)
+    for trial in range(400):
+        k = int(rng.integers(1, 9))
+        shape = (int(rng.integers(1, 80)),) if trial % 2 else (3, int(rng.integers(1, 30)))
+        gt, pred = rng.integers(0, k, shape), rng.integers(0, k, shape)
+        ious = [np.count_nonzero((gt == c) & (pred == c))
+                / np.count_nonzero((gt == c) | (pred == c)) for c in np.union1d(gt, pred)]
+        assert compute_miou(gt, pred) == float(np.mean(ious))

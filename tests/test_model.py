@@ -21,7 +21,7 @@ from ttaswitch.model import (
     init_params,
     insert_adapters,
     masked_losses,
-    parameter_names,
+    parameter_layout,
     patchify,
     pixel_mask,
     predict,
@@ -65,7 +65,7 @@ def test_default_adapter_budget_in_band():
 def test_param_groups_and_names():
     cfg = TINY
     store = init_params(cfg, seed=1)
-    assert store.names() == parameter_names(cfg)
+    assert store.names() == [row[0] for row in parameter_layout(cfg)]
     counts = store.count_by_group()
     assert set(counts) == {"backbone", "adapter", "seg_head", "rec_head", "mask_token"}
     assert counts["mask_token"] == cfg.channels * cfg.patch_size ** 2
@@ -296,6 +296,20 @@ def test_predict_labels():
     assert labels.shape == (cfg.num_patches,)
     assert labels.dtype.kind == "i"
     assert np.all((0 <= labels) & (labels < cfg.num_classes))
+
+
+def test_stores_are_built_from_the_layout():
+    def table(include_adapters):
+        return {(n, s, g) for n, s, g, _ in parameter_layout(TINY, include_adapters)}
+
+    bare = init_params(TINY, seed=1, include_adapters=False)
+    assert set(bare.entries()) == table(False)
+    assert set(insert_adapters(bare, TINY, seed=2).entries()) == table(True)
+    full = init_params(TINY, seed=1)
+    assert set(full.entries()) == table(True)
+    for name, _, _, init in parameter_layout(TINY):
+        if init != "normal":
+            assert np.all(full[name].data == (1.0 if init == "ones" else 0.0)), name
 
 
 # ---------------------------------------------------------------------------
