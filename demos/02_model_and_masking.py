@@ -30,7 +30,7 @@ print(f"mask at ratio {cfg.mask_ratio}: {pm.count}/{cfg.num_patches} patches "
       f"masked (realized {pm.ratio_actual:.3f}), reproducible from (seed, step)")
 
 rng = np.random.default_rng(1)
-image = rng.uniform(0, 1, (cfg.channels, cfg.image_size, cfg.image_size))
+image = rng.uniform(0, 1, (m.CHANNELS, cfg.image_size, cfg.image_size))
 masked = m.apply_mask(image, pm, store["mask_token"], cfg).data
 orig_patches = m.patchify(image, cfg.patch_size).data
 masked_patches = m.patchify(masked, cfg.patch_size).data

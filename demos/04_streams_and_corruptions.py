@@ -10,16 +10,16 @@ from pathlib import Path
 
 import numpy as np
 
-from ttaswitch.streams import (CORRUPTIONS, CorruptionSpec, SceneSpec,
-                               apply_corruption, build_stream, generate_scene,
-                               stream_from_manifest, stream_manifest,
-                               write_manifest)
+from ttaswitch.model import ModelConfig
+from ttaswitch.streams import (CORRUPTIONS, CorruptionSpec, apply_corruption,
+                               build_stream, generate_scene, stream_from_manifest,
+                               stream_manifest, write_manifest)
 
-spec = SceneSpec(image_size=32, patch_size=4, channels=3, num_classes=5)
-scene = generate_scene(seed=42, spec=spec)
+cfg = ModelConfig(image_size=32, patch_size=4, num_classes=5)   # scenes read only these
+scene = generate_scene(seed=42, config=cfg)
 print(f"scene: {scene.image.shape} image, {scene.labels.size} patch labels, "
       f"{len(scene.layout)} objects")
-print("class histogram:", np.bincount(scene.labels, minlength=spec.num_classes).tolist())
+print("class histogram:", np.bincount(scene.labels, minlength=cfg.num_classes).tolist())
 
 print("\npixel shift per corruption (mean |corrupted - clean|):")
 for kind in CORRUPTIONS:
@@ -37,7 +37,7 @@ print("corruptions stay in [0, 1] and grow monotone with severity "
 
 domains = list(CORRUPTIONS)
 stream_args = dict(domains=domains, per_domain=3, rounds=2, seed=5)
-instances = list(build_stream(spec, severity=0.8, **stream_args))
+instances = list(build_stream(cfg, severity=0.8, **stream_args))
 print(f"\ncyclic stream: {len(instances)} instances "
       f"({stream_args['rounds']} rounds x {len(domains)} domains x "
       f"{stream_args['per_domain']} each)")
@@ -48,7 +48,7 @@ for rnd, group in itertools.groupby(instances, key=lambda i: i.round):
 with tempfile.TemporaryDirectory() as tmp:
     manifest = write_manifest(stream_manifest(**stream_args),
                               Path(tmp) / "manifest.csv")
-    replayed = list(stream_from_manifest(manifest, spec, severity=0.8))
+    replayed = list(stream_from_manifest(manifest, cfg, severity=0.8))
     assert len(replayed) == len(instances)
     for a, b in zip(instances, replayed):
         assert a.t == b.t and a.domain == b.domain and a.scene_seed == b.scene_seed

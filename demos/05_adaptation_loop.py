@@ -16,7 +16,7 @@ from ttaswitch.adaptation import init_adaptation
 from ttaswitch.checkpoint import load_checkpoint
 from ttaswitch.metrics import compute_miou
 from ttaswitch.source import train_source
-from ttaswitch.streams import SceneSpec, build_stream
+from ttaswitch.streams import build_stream
 
 cfg = m.ModelConfig(image_size=32, embed_dim=32, depth=2, heads=2,
                     adapter_dim=20)
@@ -27,9 +27,7 @@ with tempfile.TemporaryDirectory() as tmp:
     params, _ = load_checkpoint(ckpt)
 frozen = params.clone()
 
-spec = SceneSpec(image_size=cfg.image_size, patch_size=cfg.patch_size,
-                 channels=cfg.channels, num_classes=cfg.num_classes)
-stream = list(build_stream(spec, domains=("fog", "night", "rain", "snow"),
+stream = list(build_stream(cfg, domains=("fog", "night", "rain", "snow"),
                            per_domain=30, rounds=2, seed=5, severity=0.8))
 engine = init_adaptation(params, cfg)  # defaults: lr 1e-4, EMA 0.999, alpha_l 0.9
 

@@ -21,7 +21,7 @@ from .model import (ModelConfig, PatchMask, apply_mask, draw_mask, encode, init_
                     insert_adapters, predict)
 from .params import GROUPS, ParamStore
 from .source import SourceBatch, make_source_scenes, source_step, train_source
-from .streams import (CORRUPTIONS, CorruptionSpec, Scene, SceneSpec, StreamInstance,
+from .streams import (CORRUPTIONS, CorruptionSpec, Scene, StreamInstance,
                       apply_corruption, build_stream, generate_scene,
                       stream_from_manifest, stream_manifest, write_manifest)
 
@@ -31,7 +31,7 @@ __all__ = [
     "AdaptationEngine", "CORRUPTIONS", "CorruptionSpec", "ET", "FT", "GROUPS",
     "GraphError", "MODES", "ModelConfig", "NonFiniteError", "Optimizer",
     "PER_INSTANCE_COLUMNS", "ParamStore", "PatchMask", "RunConfig", "RunResult",
-    "SKIP", "Scene", "SceneSpec", "ShapeError", "SourceBatch", "StepReport",
+    "SKIP", "Scene", "ShapeError", "SourceBatch", "StepReport",
     "StreamInstance", "Tape", "Tensor", "apply_corruption", "apply_mask",
     "backward", "build_stream", "compute_miou", "decide_shift", "detect_shift",
     "draw_mask", "ema_update", "encode", "generate_scene", "init_adaptation",

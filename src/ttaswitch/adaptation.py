@@ -87,7 +87,7 @@ def decide_shift(loss: float, tau: float) -> bool:
 
 
 def input_statistics(image) -> np.ndarray:
-    """Per-image summary the shift detector tracks, shape [2 * channels + 2].
+    """Per-image summary the shift detector tracks: 8 statistics.
 
     Per-channel mean and standard deviation, then the mean absolute
     horizontal and vertical neighbour differences (a texture cue that tells
@@ -220,17 +220,19 @@ class AdaptationEngine:
             patch_mask = m.draw_mask(cfg.num_patches, cfg.mask_ratio,
                                      self.mask_seed, t_index)
             tape = Tape()
-            with ad.recording(tape):
-                self.forward_count += 1
-                loss_seg, loss_rec, logits = m.masked_losses(
-                    image, labels, patch_mask, self.student, cfg)
-                loss_total = ad.add(loss_seg, loss_rec)
-                use_ft, shift_state = detect_shift(self.shift_state, image,
-                                                   self.alpha_l)
-                if self.decision_fn is not None:
-                    use_ft = bool(self.decision_fn(float(loss_seg.data), self.tau))
-                ad.backward(loss_total)
-            tape.nodes.clear()   # break the tape -> node -> tensor -> tape cycle now
+            try:
+                with ad.recording(tape):
+                    self.forward_count += 1
+                    loss_seg, loss_rec, logits = m.masked_losses(
+                        image, labels, patch_mask, self.student, cfg)
+                    loss_total = ad.add(loss_seg, loss_rec)
+                    use_ft, shift_state = detect_shift(self.shift_state, image,
+                                                       self.alpha_l)
+                    if self.decision_fn is not None:
+                        use_ft = bool(self.decision_fn(float(loss_seg.data), self.tau))
+                    ad.backward(loss_total)
+            finally:
+                tape.nodes.clear()   # break the tape -> node -> tensor -> tape cycle now
             self.optimizer.step(self.student, self.ft_groups if use_ft else ET_GROUPS,
                                 self.lr)
         except NonFiniteError:

@@ -5,15 +5,18 @@ Layout (all integers little-endian):
     magic    4 bytes  b"HTTA"
     version  u32
     hdr_len  u32, then hdr_len bytes of canonical JSON:
-             {"config": {...}, "entries": [[name, shape, group], ...]}
+             {"config": {...}, "entries": [[name, shape, group], ...]},
+             where "config" holds every `ModelConfig` field
     payload  for each entry in header order, its values as little-endian
              float64 in C order
     crc      u32 CRC32 of every preceding byte
 
 The entries must fit `model.parameter_layout` of the config (with or
 without adapters), so a store that does not fit its config can be neither
-saved nor loaded. Round trips are bit-exact and files are
-machine-portable: endianness is fixed and nothing is padded.
+saved nor loaded. A file of any other version is refused; version 4
+stopped recording `channels`, which is always `model.CHANNELS`. Round
+trips are bit-exact and files are machine-portable: endianness is fixed
+and nothing is padded.
 """
 from __future__ import annotations
 
@@ -31,7 +34,7 @@ from .model import ModelConfig, check_layout
 from .params import ParamStore
 
 MAGIC = b"HTTA"
-VERSION = 3
+VERSION = 4
 _PREFIX = struct.Struct("<4sII")   # magic, version, header length
 
 

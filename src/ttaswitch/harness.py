@@ -2,8 +2,11 @@
 
 A run is described by a flat ``key = value`` text file (``#`` starts a
 comment). Unknown and duplicate keys are rejected with their line number.
-The effective configuration is echoed into the output directory, followed
-by a per-instance CSV, a per-round summary CSV, and a one-line summary.
+A `RunConfig` checks itself whole when it is built, whether parsed,
+copied with ``replace`` or constructed directly, so an invalid run (an
+unknown domain name, say) is refused before anything is written. The
+effective configuration is echoed into the output directory, followed by
+a per-instance CSV, a per-round summary CSV, and a one-line summary.
 
 Floats in CSVs are written with ``repr``, so equal runs produce
 byte-identical files. Wall-clock columns stay reproducible because every
@@ -24,13 +27,17 @@ from .adaptation import ET, FT, SKIP, StepReport, init_adaptation
 from .checkpoint import load_checkpoint
 from .metrics import compute_miou
 from .model import ModelConfig
-from .streams import SceneSpec, build_stream
+from .streams import CORRUPTIONS, MAX_CLASSES, build_stream
 
 MODES = ("hybrid", "ft-only", "et-only", "no-adapt")
 NO_DECISION = "NA"   # per-instance decision tag in no-adapt mode
 
-PER_INSTANCE_COLUMNS = ("t", "domain", "round", "decision", "loss_seg", "loss_rec",
-                        "tau_before", "tau_after", "miou_instance", "wall_ms")
+# per-instance CSV, column -> type in file order; a column other than round and
+# miou_instance is the StepReport field of the same name
+PER_INSTANCE_TYPES = {"t": int, "domain": str, "round": int, "decision": str,
+                      "loss_seg": float, "loss_rec": float, "tau_before": float,
+                      "tau_after": float, "miou_instance": float, "wall_ms": float}
+PER_INSTANCE_COLUMNS = tuple(PER_INSTANCE_TYPES)
 ROUND_SUMMARY_COLUMNS = ("round", "domain", "n", "miou_mean", "ft", "et", "skip",
                          "ft_ratio", "mean_wall_ms")
 MODES_SUMMARY_COLUMNS = ("mode", "instances", "mean_miou", "ft", "et", "skip",
@@ -64,38 +71,47 @@ class RunConfig:
     batch_size: int = 8
     out_dir: str = "runs/default"
 
+    def __post_init__(self):
+        if self.mode not in MODES:
+            raise ValueError(f"mode must be one of {MODES}, got '{self.mode}'")
+        if self.optimizer not in ("adam", "sgd"):
+            raise ValueError(f"optimizer must be adam or sgd, got '{self.optimizer}'")
+        if not self.domains or not set(self.domains) <= set(CORRUPTIONS):
+            raise ValueError(f"domains must be one or more of {CORRUPTIONS}, "
+                             f"got {self.domains}")
+        if self.per_domain < 1 or self.rounds < 1:
+            raise ValueError("per_domain and rounds must be >= 1")
+        if not 0.0 <= self.severity <= 1.0:
+            raise ValueError("severity must lie in [0, 1]")
+        if self.source_scenes < 1 or self.batch_size < 1 or self.source_epochs < 0:
+            raise ValueError("source_scenes/batch_size must be >= 1, source_epochs >= 0")
+        if self.lr_source <= 0 or self.lr_tta <= 0:
+            raise ValueError("learning rates must be positive")
+        if not 0.0 <= self.alpha <= 1.0 or not 0.0 <= self.alpha_l <= 1.0:
+            raise ValueError("alpha and alpha_l must lie in [0, 1]")
+        if self.num_classes > MAX_CLASSES:
+            raise ValueError(f"num_classes {self.num_classes} exceeds the scene palette "
+                             f"({MAX_CLASSES} classes)")
+        self.model_config()   # the model-side checks
+
     def model_config(self) -> ModelConfig:
-        return ModelConfig(image_size=self.image_size, patch_size=self.patch_size,
-                           embed_dim=self.embed_dim, depth=self.depth,
-                           heads=self.heads, num_classes=self.num_classes,
-                           adapter_dim=self.adapter_dim,
-                           adapter_scale=self.adapter_scale,
-                           mask_ratio=self.mask_ratio)
-
-    def scene_spec(self) -> SceneSpec:
-        return SceneSpec(image_size=self.image_size, patch_size=self.patch_size,
-                         num_classes=self.num_classes)
+        return ModelConfig(**{f.name: getattr(self, f.name) for f in fields(ModelConfig)})
 
 
-def _parse_value(key: str, raw: str, kind, lineno: int):
+def _parse_value(key: str, raw: str, kind: type, lineno: int):
     try:
-        if key == "domains":
+        if kind is tuple:
             items = tuple(part.strip() for part in raw.split(",") if part.strip())
             if not items:
                 raise ValueError("empty list")
             return items
-        if kind is int:
-            return int(raw)
-        if kind is float:
-            return float(raw)
-        return raw
+        return kind(raw)
     except ValueError as e:
         raise ValueError(f"config line {lineno}: bad value for '{key}': {e}") from None
 
 
 def parse_config_text(text: str) -> RunConfig:
-    kinds = {f.name: f.type for f in fields(RunConfig)}
-    types = {"int": int, "float": float, "str": str, "tuple": tuple}
+    kinds = {f.name: type(f.default) for f in fields(RunConfig)}
     values = {}
     for lineno, raw_line in enumerate(text.splitlines(), 1):
         line = raw_line.split("#", 1)[0].strip()
@@ -112,10 +128,8 @@ def parse_config_text(text: str) -> RunConfig:
             raise ValueError(f"config line {lineno}: duplicate key '{key}'")
         if not raw:
             raise ValueError(f"config line {lineno}: empty value for '{key}'")
-        values[key] = _parse_value(key, raw, types[kinds[key]], lineno)
-    cfg = RunConfig(**values)
-    validate_config(cfg)
-    return cfg
+        values[key] = _parse_value(key, raw, kinds[key], lineno)
+    return RunConfig(**values)
 
 
 def load_config(path) -> RunConfig:
@@ -123,25 +137,6 @@ def load_config(path) -> RunConfig:
     if not path.exists():
         raise FileNotFoundError(f"config file not found: {path}")
     return parse_config_text(path.read_text())
-
-
-def validate_config(cfg: RunConfig) -> None:
-    if cfg.mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}, got '{cfg.mode}'")
-    if cfg.optimizer not in ("adam", "sgd"):
-        raise ValueError(f"optimizer must be adam or sgd, got '{cfg.optimizer}'")
-    if cfg.per_domain < 1 or cfg.rounds < 1:
-        raise ValueError("per_domain and rounds must be >= 1")
-    if not 0.0 <= cfg.severity <= 1.0:
-        raise ValueError("severity must lie in [0, 1]")
-    if cfg.source_scenes < 1 or cfg.batch_size < 1 or cfg.source_epochs < 0:
-        raise ValueError("source_scenes/batch_size must be >= 1, source_epochs >= 0")
-    if cfg.lr_source <= 0 or cfg.lr_tta <= 0:
-        raise ValueError("learning rates must be positive")
-    if not 0.0 <= cfg.alpha <= 1.0 or not 0.0 <= cfg.alpha_l <= 1.0:
-        raise ValueError("alpha and alpha_l must lie in [0, 1]")
-    cfg.model_config()   # triggers the model-side field validation
-    cfg.scene_spec()
 
 
 def format_config(cfg: RunConfig) -> str:
@@ -188,11 +183,10 @@ _DECISION_FNS = {"ft-only": lambda loss, tau: True, "et-only": lambda loss, tau:
 
 
 def _load_matching(cfg: RunConfig, checkpoint_path):
-    """Validate cfg and load the checkpoint; refuse one built for another model."""
+    """Load the checkpoint; refuse one built for another model."""
     checkpoint_path = Path(checkpoint_path)
     if not checkpoint_path.exists():
         raise FileNotFoundError(f"checkpoint not found: {checkpoint_path}")
-    validate_config(cfg)
     params, ckpt_config = load_checkpoint(checkpoint_path)
     expected = cfg.model_config()
     if ckpt_config != expected:
@@ -219,7 +213,7 @@ def run_experiment(cfg: RunConfig, checkpoint_path, out_dir=None,
                              alpha_l=cfg.alpha_l, optimizer_kind=cfg.optimizer,
                              decision_fn=_DECISION_FNS.get(cfg.mode),
                              mask_seed=cfg.seed, clock=clock)
-    stream = build_stream(cfg.scene_spec(), cfg.domains, cfg.per_domain, cfg.rounds,
+    stream = build_stream(expected, cfg.domains, cfg.per_domain, cfg.rounds,
                           cfg.seed, cfg.severity)
     nan = float("nan")
     rows = []
@@ -236,11 +230,9 @@ def run_experiment(cfg: RunConfig, checkpoint_path, out_dir=None,
             report = engine.step(inst.image, t_index=inst.t, domain=inst.domain)
         miou = (nan if report.teacher_labels is None
                 else compute_miou(inst.labels, report.teacher_labels))
-        rows.append({"t": inst.t, "domain": inst.domain, "round": inst.round,
-                     "decision": report.decision, "loss_seg": report.loss_seg,
-                     "loss_rec": report.loss_rec, "tau_before": report.tau_before,
-                     "tau_after": report.tau_after, "miou_instance": miou,
-                     "wall_ms": report.wall_ms})
+        own = {"round": inst.round, "miou_instance": miou}
+        rows.append({c: own[c] if c in own else getattr(report, c)
+                     for c in PER_INSTANCE_TYPES})
     total_wall_s = clock() - run_start
 
     _write_csv(out_dir / "per_instance.csv", PER_INSTANCE_COLUMNS, rows)
@@ -302,17 +294,8 @@ def read_per_instance_csv(path) -> list:
         reader = csv.DictReader(fh)
         if tuple(reader.fieldnames or ()) != PER_INSTANCE_COLUMNS:
             raise ValueError(f"per-instance columns must be {PER_INSTANCE_COLUMNS}")
-        rows = []
-        for rec in reader:
-            rows.append({"t": int(rec["t"]), "domain": rec["domain"],
-                         "round": int(rec["round"]), "decision": rec["decision"],
-                         "loss_seg": float(rec["loss_seg"]),
-                         "loss_rec": float(rec["loss_rec"]),
-                         "tau_before": float(rec["tau_before"]),
-                         "tau_after": float(rec["tau_after"]),
-                         "miou_instance": float(rec["miou_instance"]),
-                         "wall_ms": float(rec["wall_ms"])})
-    return rows
+        return [{c: kind(rec[c]) for c, kind in PER_INSTANCE_TYPES.items()}
+                for rec in reader]
 
 
 def measure_throughput(result: RunResult) -> tuple:

@@ -49,13 +49,13 @@ from .autodiff import (
 from .params import ParamStore
 
 MLP_RATIO = 4
+CHANNELS = 3   # images are RGB
 
 
 @dataclass(frozen=True)
 class ModelConfig:
     image_size: int = 32
     patch_size: int = 4
-    channels: int = 3
     embed_dim: int = 64
     depth: int = 4
     heads: int = 4
@@ -70,8 +70,6 @@ class ModelConfig:
         if self.image_size % self.patch_size != 0:
             raise ValueError(
                 f"image_size {self.image_size} not divisible by patch_size {self.patch_size}")
-        if self.channels < 1:
-            raise ValueError("channels must be >= 1")
         if self.embed_dim < 1 or self.depth < 1 or self.heads < 1:
             raise ValueError("embed_dim, depth and heads must be positive")
         if self.embed_dim % self.heads != 0:
@@ -93,7 +91,7 @@ class ModelConfig:
 
     @property
     def patch_dim(self) -> int:
-        return self.channels * self.patch_size * self.patch_size
+        return CHANNELS * self.patch_size * self.patch_size
 
     @property
     def head_dim(self) -> int:
@@ -144,7 +142,7 @@ def parameter_layout(config: ModelConfig, include_adapters: bool = True) -> list
                    ("seg_head.b", (c,), "seg_head", "zeros"),
                    ("rec_head.w", (d, pd), "rec_head", "normal"),
                    ("rec_head.b", (pd,), "rec_head", "zeros"),
-                   ("mask_token", (config.channels, p, p), "mask_token", "normal")]
+                   ("mask_token", (CHANNELS, p, p), "mask_token", "normal")]
 
 
 def _fill(store: ParamStore, rows, seed: int) -> ParamStore:
@@ -253,14 +251,14 @@ def patchify(x, patch_size: int) -> Tensor:
     return reshape(t, lead + (gh * gw, c * patch_size * patch_size))
 
 
-def unpatchify(tokens, channels: int, image_size: int, patch_size: int) -> Tensor:
+def unpatchify(tokens, image_size: int, patch_size: int) -> Tensor:
     """Inverse of patchify for square images: [..., n, c*p*p] -> [..., c, h, w]."""
     tokens = as_tensor(tokens)
     lead = _lead(tokens.shape, 2, "unpatchify")
     g, k = image_size // patch_size, len(lead)
-    t = reshape(tokens, lead + (g, g, channels, patch_size, patch_size))
+    t = reshape(tokens, lead + (g, g, CHANNELS, patch_size, patch_size))
     t = transpose(t, tuple(range(k)) + (k + 2, k, k + 3, k + 1, k + 4))
-    return reshape(t, lead + (channels, image_size, image_size))
+    return reshape(t, lead + (CHANNELS, image_size, image_size))
 
 
 def apply_mask(x, patch_mask: PatchMask, mask_token: Tensor, config: ModelConfig) -> Tensor:
@@ -272,11 +270,11 @@ def apply_mask(x, patch_mask: PatchMask, mask_token: Tensor, config: ModelConfig
     """
     x = as_tensor(x)
     lead = _lead(x.shape, 3, "apply_mask")
-    if x.shape[-3:] != (config.channels, config.image_size, config.image_size):
+    if x.shape[-3:] != (CHANNELS, config.image_size, config.image_size):
         raise ValueError(f"apply_mask: image shape {x.shape} does not match config")
     if patch_mask.mask.shape != lead + (config.num_patches,):
         raise ValueError("apply_mask: mask length does not match patch count")
-    if mask_token.shape != (config.channels, config.patch_size, config.patch_size):
+    if mask_token.shape != (CHANNELS, config.patch_size, config.patch_size):
         raise ValueError(f"apply_mask: mask token shape {mask_token.shape} invalid")
     xp = patchify(x, config.patch_size)
     col = patch_mask.mask.astype(np.float64)[..., None]
@@ -285,8 +283,7 @@ def apply_mask(x, patch_mask: PatchMask, mask_token: Tensor, config: ModelConfig
     visible = mul(xp, inv)
     token_row = reshape(mask_token, (1, config.patch_dim))
     masked = mul(token_row, m)
-    return unpatchify(add(visible, masked), config.channels, config.image_size,
-                      config.patch_size)
+    return unpatchify(add(visible, masked), config.image_size, config.patch_size)
 
 
 def pixel_mask(patch_mask: PatchMask, config: ModelConfig) -> np.ndarray:
@@ -295,7 +292,7 @@ def pixel_mask(patch_mask: PatchMask, config: ModelConfig) -> np.ndarray:
     lead = patch_mask.mask.shape[:-1]
     grid = patch_mask.mask.reshape(lead + (g, g)).astype(np.float64)
     plane = np.kron(grid, np.ones((p, p)))[..., None, :, :]
-    return np.broadcast_to(plane, lead + (config.channels, g * p, g * p)).copy()
+    return np.broadcast_to(plane, lead + (CHANNELS, g * p, g * p)).copy()
 
 
 # ---------------------------------------------------------------------------
@@ -370,8 +367,8 @@ def encode(x, params: ParamStore, config: ModelConfig) -> Tensor:
     recording tape (position embeddings are bilinearly resized).
     """
     x = as_tensor(x)
-    if x.ndim not in (3, 4) or x.shape[-3] != config.channels:
-        raise ValueError(f"encode: expected [..., {config.channels}, h, w], got {x.shape}")
+    if x.ndim not in (3, 4) or x.shape[-3] != CHANNELS:
+        raise ValueError(f"encode: expected [..., {CHANNELS}, h, w], got {x.shape}")
     if x.shape[-2] != x.shape[-1]:
         raise ValueError(f"encode: image must be square, got {x.shape}")
     if x.shape[-1] % config.patch_size:
@@ -400,7 +397,7 @@ def rec_decode(z, params: ParamStore, config: ModelConfig) -> Tensor:
     tokens = add(matmul(z, params["rec_head.w"]), params["rec_head.b"])
     if z.shape[-2] != config.num_patches:
         raise ValueError("rec_decode: token count does not match config grid")
-    return unpatchify(tokens, config.channels, config.image_size, config.patch_size)
+    return unpatchify(tokens, config.image_size, config.patch_size)
 
 
 def masked_losses(image, labels, patch_mask: PatchMask, params: ParamStore,

@@ -21,7 +21,7 @@ from . import model as m
 from .autodiff import Optimizer
 from .checkpoint import save_checkpoint
 from .params import ParamStore
-from .streams import Scene, SceneSpec, generate_scene
+from .streams import Scene, generate_scene
 
 
 @dataclass(frozen=True)
@@ -31,18 +31,12 @@ class SourceBatch:
     class_labels: tuple = ()   # ignored; kept so existing callers still construct batches
 
 
-def scene_spec_for(config: m.ModelConfig) -> SceneSpec:
-    return SceneSpec(image_size=config.image_size, patch_size=config.patch_size,
-                     channels=config.channels, num_classes=config.num_classes)
-
-
 def make_source_scenes(config: m.ModelConfig, num_scenes: int, seed: int) -> list[Scene]:
     """Render the fixed source dataset; scene i uses child seed (seed, 41, i)."""
-    spec = scene_spec_for(config)
     scenes = []
     for i in range(num_scenes):
         child = int(np.random.default_rng((int(seed), 41, i)).integers(0, 2 ** 62))
-        scenes.append(generate_scene(child, spec))
+        scenes.append(generate_scene(child, config))
     return scenes
 
 
@@ -69,13 +63,15 @@ def _source_step_inner(batch, params, config, optimizer, lr, mask_seed, step):
         m.draw_mask(config.num_patches, config.mask_ratio, mask_seed, step * n_img + i).mask
         for i in range(n_img)]), seed=mask_seed, step=step * n_img)
     tape = ad.Tape()
-    with ad.recording(tape):
-        loss_seg, loss_rec, _ = m.masked_losses(np.stack(batch.images),
-                                                np.stack(batch.labels), stacked,
-                                                params, config)
-        loss_total = ad.add(loss_seg, loss_rec)
-        ad.backward(loss_total)
-    tape.nodes.clear()   # break the tape -> node -> tensor -> tape cycle now
+    try:
+        with ad.recording(tape):
+            loss_seg, loss_rec, _ = m.masked_losses(np.stack(batch.images),
+                                                    np.stack(batch.labels), stacked,
+                                                    params, config)
+            loss_total = ad.add(loss_seg, loss_rec)
+            ad.backward(loss_total)
+    finally:
+        tape.nodes.clear()   # break the tape -> node -> tensor -> tape cycle now
     optimizer.step(params, group_filter=params.groups_present(), lr=lr)
     return (float(loss_total.data), float(loss_seg.data), float(loss_rec.data))
 
@@ -94,11 +90,11 @@ def train_source(config: m.ModelConfig, num_scenes: int, epochs: int, batch_size
     """
     if num_scenes < 1 or batch_size < 1 or epochs < 0:
         raise ValueError("train_source: need num_scenes >= 1, batch_size >= 1, epochs >= 0")
+    optimizer = Optimizer(optimizer_kind)   # both refuse bad input before out_dir exists
+    scenes = make_source_scenes(config, num_scenes, seed)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     params = m.init_params(config, seed=seed)
-    optimizer = Optimizer(optimizer_kind)
-    scenes = make_source_scenes(config, num_scenes, seed)
     order_rng = np.random.default_rng((int(seed), 43))
 
     log_rows = []

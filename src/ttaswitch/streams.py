@@ -1,11 +1,14 @@
 """Synthetic scenes, label-preserving corruptions, and the target stream.
 
-A scene is a textured background (class 0) plus a few geometric objects of
-distinct non-background classes; the dense class map is reduced to
-per-patch majority labels. Corruptions transform pixels only, so labels
-carry over untouched. The target stream cycles the corruption domains for
-a fixed number of rounds and is a single-pass iterator: each instance is
-yielded exactly once and the stream cannot be rewound.
+A scene is a textured RGB background (class 0) plus a few geometric
+objects of distinct non-background classes; the dense class map is reduced
+to per-patch majority labels. Scenes are rendered for a `ModelConfig`, of
+which only `image_size`, `patch_size` and `num_classes` are read; the
+palette holds at most `MAX_CLASSES` classes. Corruptions transform pixels
+only, so labels carry over untouched. The target stream cycles the
+corruption domains for a fixed number of rounds and is a single-pass
+iterator: each instance is yielded exactly once and the stream cannot be
+rewound.
 """
 from __future__ import annotations
 
@@ -15,6 +18,8 @@ from pathlib import Path
 
 import numpy as np
 from scipy import ndimage
+
+from .model import ModelConfig
 
 CORRUPTIONS = ("fog", "night", "rain", "snow")
 
@@ -28,32 +33,9 @@ _CLASS_COLORS = np.array([
     (0.90, 0.55, 0.15),
     (0.20, 0.75, 0.75),
 ])
+MAX_CLASSES = len(_CLASS_COLORS) + 1   # background plus one colour per object class
 _SHAPES = ("disk", "square", "triangle", "diamond")
 MIN_OBJECTS, MAX_OBJECTS = 2, 5   # objects per scene, capped by the classes available
-
-
-@dataclass(frozen=True)
-class SceneSpec:
-    image_size: int = 32
-    patch_size: int = 4
-    channels: int = 3
-    num_classes: int = 5
-
-    def __post_init__(self):
-        if self.channels != 3:
-            raise ValueError("scene rendering is RGB only (channels=3)")
-        if self.image_size % self.patch_size != 0:
-            raise ValueError("image_size must be divisible by patch_size")
-        if not 2 <= self.num_classes <= len(_CLASS_COLORS) + 1:
-            raise ValueError(f"num_classes must lie in [2, {len(_CLASS_COLORS) + 1}]")
-
-    @property
-    def grid(self) -> int:
-        return self.image_size // self.patch_size
-
-    @property
-    def num_patches(self) -> int:
-        return self.grid * self.grid
 
 
 @dataclass(frozen=True)
@@ -77,10 +59,13 @@ def _shape_mask(kind: str, yy, xx, cy: float, cx: float, r: float) -> np.ndarray
     raise ValueError(f"unknown shape kind '{kind}'")
 
 
-def generate_scene(seed: int, spec: SceneSpec) -> Scene:
-    """Deterministic scene for (seed, spec); same inputs give identical bytes."""
+def generate_scene(seed: int, config: ModelConfig) -> Scene:
+    """Deterministic scene for (seed, config); same inputs give identical bytes."""
+    if config.num_classes > MAX_CLASSES:
+        raise ValueError(f"num_classes {config.num_classes} exceeds the scene palette "
+                         f"({MAX_CLASSES} classes)")
     rng = np.random.default_rng(int(seed))
-    h = w = spec.image_size
+    h = w = config.image_size
     yy, xx = np.mgrid[0:h, 0:w].astype(np.float64)
 
     base = rng.uniform(0.30, 0.55, size=3)
@@ -91,13 +76,13 @@ def generate_scene(seed: int, spec: SceneSpec) -> Scene:
     image += rng.normal(0.0, 0.02, size=image.shape)
 
     class_map = np.zeros((h, w), dtype=np.int64)
-    max_obj = min(MAX_OBJECTS, spec.num_classes - 1)
+    max_obj = min(MAX_OBJECTS, config.num_classes - 1)
     n_obj = int(rng.integers(min(MIN_OBJECTS, max_obj), max_obj + 1))
-    classes = rng.choice(np.arange(1, spec.num_classes), size=n_obj, replace=False)
+    classes = rng.choice(np.arange(1, config.num_classes), size=n_obj, replace=False)
     layout = []
     for cls in classes:
         kind = _SHAPES[(int(cls) - 1) % len(_SHAPES)]
-        r = rng.uniform(0.12, 0.26) * spec.image_size
+        r = rng.uniform(0.12, 0.26) * config.image_size
         cy = rng.uniform(r * 0.7, h - r * 0.7)
         cx = rng.uniform(r * 0.7, w - r * 0.7)
         mask = _shape_mask(kind, yy, xx, cy, cx, r)
@@ -109,7 +94,7 @@ def generate_scene(seed: int, spec: SceneSpec) -> Scene:
         layout.append((int(cls), kind, float(cy), float(cx), float(r)))
 
     image = np.clip(image, 0.0, 1.0)
-    labels = majority_patch_labels(class_map, spec.patch_size, spec.num_classes)
+    labels = majority_patch_labels(class_map, config.patch_size, config.num_classes)
     return Scene(image=image, class_map=class_map, labels=labels, seed=int(seed),
                  layout=tuple(layout))
 
@@ -216,21 +201,18 @@ def _derive_corruption_seed(scene_seed: int) -> int:
     return int(np.random.default_rng((int(scene_seed), 977)).integers(0, 2 ** 62))
 
 
-def _render_instance(spec: SceneSpec, scene_seed: int, domain: str, rnd: int, t: int,
+def _render_instance(config: ModelConfig, scene_seed: int, domain: str, rnd: int, t: int,
                      severity: float) -> StreamInstance:
     """Render the scene for scene_seed and corrupt it for its domain."""
-    scene = generate_scene(scene_seed, spec)
-    if domain == "clean":
-        image = scene.image.copy()
-    else:
-        cspec = CorruptionSpec(kind=domain, severity=severity,
-                               seed=_derive_corruption_seed(scene_seed))
-        image = apply_corruption(scene.image, cspec)
+    scene = generate_scene(scene_seed, config)
+    cspec = CorruptionSpec(kind=domain, severity=severity,
+                           seed=_derive_corruption_seed(scene_seed))
+    image = apply_corruption(scene.image, cspec)
     return StreamInstance(image=image, labels=scene.labels, domain=domain, round=rnd,
                           t=t, scene_seed=scene_seed)
 
 
-def build_stream(spec: SceneSpec, domains, per_domain: int, rounds: int, seed: int,
+def build_stream(config: ModelConfig, domains, per_domain: int, rounds: int, seed: int,
                  severity: float = 0.8):
     """Single-pass iterator over rounds x domains x per_domain instances.
 
@@ -242,11 +224,10 @@ def build_stream(spec: SceneSpec, domains, per_domain: int, rounds: int, seed: i
     if not domains:
         raise ValueError("build_stream: at least one domain required")
     for d in domains:
-        if d != "clean":
-            CorruptionSpec(kind=d, severity=severity)  # validates kind and severity
+        CorruptionSpec(kind=d, severity=severity)  # validates kind and severity
     if per_domain < 1 or rounds < 1:
         raise ValueError("build_stream: per_domain and rounds must be >= 1")
-    return _render_rows(stream_manifest(domains, per_domain, rounds, seed), spec, severity)
+    return _render_rows(stream_manifest(domains, per_domain, rounds, seed), config, severity)
 
 
 MANIFEST_COLUMNS = ("t", "domain", "round", "scene_seed")
@@ -274,18 +255,18 @@ def write_manifest(rows, path) -> Path:
     return path
 
 
-def stream_from_manifest(path, spec: SceneSpec, severity: float = 0.8):
+def stream_from_manifest(path, config: ModelConfig, severity: float = 0.8):
     """Replay a stream byte-exactly from its manifest."""
     with Path(path).open() as fh:
         reader = csv.DictReader(fh)
         if tuple(reader.fieldnames or ()) != MANIFEST_COLUMNS:
             raise ValueError(f"manifest columns must be {MANIFEST_COLUMNS}")
         rows = list(reader)
-    return _render_rows(rows, spec, severity)
+    return _render_rows(rows, config, severity)
 
 
-def _render_rows(rows, spec: SceneSpec, severity: float):
+def _render_rows(rows, config: ModelConfig, severity: float):
     """Single-pass iterator rendering manifest rows (ints or their CSV text)."""
-    return (_render_instance(spec, int(row["scene_seed"]), row["domain"], int(row["round"]),
+    return (_render_instance(config, int(row["scene_seed"]), row["domain"], int(row["round"]),
                              int(row["t"]), severity)
             for row in rows)

@@ -32,7 +32,7 @@ class MultiScaleFlipTeacher(AdaptationEngine):
                 if target != cfg.image_size:
                     z = target / img.shape[1]
                     img = np.clip(ndimage.zoom(img, (1, z, z), order=1), 0.0, 1.0)
-                if img.shape != (cfg.channels, target, target):
+                if img.shape != (m.CHANNELS, target, target):
                     raise AssertionError(f"resize produced {img.shape}, wanted {target}")
                 self.forward_count += 1
                 labels = m.predict(np.ascontiguousarray(img), self.teacher, cfg)

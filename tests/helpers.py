@@ -8,10 +8,14 @@ from __future__ import annotations
 
 import json
 import struct
+import weakref
 import zlib
 from dataclasses import asdict
 
 import numpy as np
+
+from ttaswitch.autodiff import Tape
+from ttaswitch.checkpoint import VERSION
 
 
 def fd_gradient(f, arrays: dict[str, np.ndarray], wrt: str, h: float = 1e-5) -> np.ndarray:
@@ -50,16 +54,33 @@ def make_fake_clock(tick: float = 0.001):
     return clock
 
 
-def write_raw_checkpoint(path, header: bytes, payload: bytes = b""):
-    """A version-3 checkpoint file from raw header and payload bytes, CRC included."""
-    body = struct.pack("<4sII", b"HTTA", 3, len(header)) + header + payload
+def write_raw_checkpoint(path, header: bytes, payload: bytes = b"", version: int = VERSION):
+    """A checkpoint file from raw header and payload bytes, CRC included."""
+    body = struct.pack("<4sII", b"HTTA", version, len(header)) + header + payload
     path.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
     return path
 
 
 def write_unchecked_checkpoint(path, params, config):
-    """A version-3 checkpoint of any store, written without the layout check."""
+    """A current-version checkpoint of any store, written without the layout check."""
     header = json.dumps({"config": asdict(config), "entries": params.entries()},
                         sort_keys=True, separators=(",", ":")).encode("utf-8")
     return write_raw_checkpoint(path, header,
                                 b"".join(params[n].data.tobytes() for n in params.names()))
+
+
+def track_tapes(monkeypatch, owner) -> weakref.WeakSet:
+    """Patch `owner.Tape` to record each new tape; the set holds those still alive.
+
+    With the cyclic GC disabled, a tape left holding its nodes stays alive
+    through the tape -> node -> tensor -> tape cycle.
+    """
+    tapes = weakref.WeakSet()
+
+    class TrackedTape(Tape):
+        def __init__(self):
+            super().__init__()
+            tapes.add(self)
+
+    monkeypatch.setattr(owner, "Tape", TrackedTape)
+    return tapes

@@ -68,7 +68,7 @@ def reference(tmp_path_factory):
 
 
 def _stream(cfg, domains, per_domain, seed, rounds=1):
-    return list(build_stream(cfg.scene_spec(), domains, per_domain=per_domain,
+    return list(build_stream(cfg.model_config(), domains, per_domain=per_domain,
                              rounds=rounds, seed=seed, severity=cfg.severity))
 
 
@@ -296,7 +296,7 @@ def test_criterion_06_mask_semantics(capsys):
         cfg = ModelConfig()
         store = init_params(cfg, seed=3)
         rng = np.random.default_rng(9)
-        image = rng.uniform(0.0, 1.0, (cfg.channels, cfg.image_size, cfg.image_size))
+        image = rng.uniform(0.0, 1.0, (m.CHANNELS, cfg.image_size, cfg.image_size))
 
         pm = m.draw_mask(cfg.num_patches, cfg.mask_ratio, seed=2, step=7)
         masked = m.apply_mask(image, pm, store["mask_token"], cfg).data

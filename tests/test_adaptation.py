@@ -1,9 +1,11 @@
+import gc
 import math
 
 import numpy as np
 import pytest
 
-from helpers import make_fake_clock
+from helpers import make_fake_clock, track_tapes
+from ttaswitch import adaptation
 from ttaswitch.adaptation import (ET, FT, SKIP, TEACHER_GROUPS, decide_shift,
                                   detect_shift, ema_update, ft_window, init_adaptation,
                                   input_statistics, update_threshold)
@@ -13,7 +15,7 @@ from ttaswitch.harness import RunConfig
 from ttaswitch.model import (ModelConfig, draw_mask, masked_losses, parameter_layout,
                              predict)
 from ttaswitch.params import ParamStore
-from ttaswitch.source import SourceBatch, scene_spec_for, source_step, train_source
+from ttaswitch.source import SourceBatch, source_step, train_source
 from ttaswitch.streams import build_stream
 
 TINY = ModelConfig(image_size=8, patch_size=4, embed_dim=16, depth=2, heads=2,
@@ -34,8 +36,7 @@ def fresh_engine(trained, **kw):
 
 
 def instances(n, seed=3, severity=0.8):
-    spec = scene_spec_for(TINY)
-    return list(build_stream(spec, ("fog", "night"), per_domain=(n + 1) // 2,
+    return list(build_stream(TINY, ("fog", "night"), per_domain=(n + 1) // 2,
                              rounds=1, seed=seed, severity=severity))[:n]
 
 
@@ -273,6 +274,24 @@ def test_quarantine_on_nonfinite_input(trained):
     assert engine.tau == tau and engine.skipped == 3 and engine.t == 1
 
 
+def test_quarantined_step_releases_its_tape(trained, monkeypatch):
+    def failing_decision(loss, tau):
+        raise NonFiniteError("decision on non-finite values")
+
+    tapes = track_tapes(monkeypatch, adaptation)
+    engine = fresh_engine(trained)
+    image = instances(1)[0].image
+    gc.disable()
+    try:
+        assert engine.step(image, t_index=0).decision == FT
+        assert len(tapes) == 0
+        engine.decision_fn = failing_decision
+        assert engine.step(image, t_index=1).decision == SKIP
+        assert len(tapes) == 0
+    finally:
+        gc.enable()
+
+
 def test_full_run_is_reproducible(trained):
     outputs = []
     for _ in range(2):
@@ -309,7 +328,7 @@ def test_detector_flags_every_domain_boundary():
     window = ft_window(cfg.alpha_l)
     assert window == 10
     for seed in (0, 1, 2):
-        stream = build_stream(cfg.scene_spec(), cfg.domains, cfg.per_domain,
+        stream = build_stream(cfg.model_config(), cfg.domains, cfg.per_domain,
                               cfg.rounds, seed, cfg.severity)
         state, prev_domain, runs = None, None, 0
         for inst in stream:

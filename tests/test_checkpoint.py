@@ -78,6 +78,18 @@ def test_unsupported_version(saved):
         load_checkpoint(path)
 
 
+def test_version_3_file_refused(tmp_path):
+    # version 3 recorded channels in the config; the bytes are otherwise alike
+    params = init_params(TINY, seed=0)
+    header = json.dumps({"config": {**asdict(TINY), "channels": 3},
+                         "entries": params.entries()},
+                        sort_keys=True, separators=(",", ":")).encode("utf-8")
+    payload = b"".join(params[n].data.tobytes() for n in params.names())
+    path = write_raw_checkpoint(tmp_path / "v3.htta", header, payload, version=3)
+    with pytest.raises(ValueError, match="unsupported checkpoint version 3"):
+        load_checkpoint(path)
+
+
 def test_trailing_bytes_rejected(saved):
     path, _ = saved
     body = path.read_bytes()[:-4] + b"\x00" * 8

@@ -52,6 +52,14 @@ def test_gen_stream(workdir, capsys):
     assert "4 instances" in capsys.readouterr().out
 
 
+def test_gen_stream_refuses_unknown_domain(tmp_path):
+    cfg = tmp_path / "typo.cfg"
+    cfg.write_text(TINY_CFG.replace("domains = fog,night", "domains = fog,fgo"))
+    with pytest.raises(ValueError, match="fgo"):
+        main(["gen-stream", "--config", str(cfg), "--out", str(tmp_path / "m")])
+    assert not (tmp_path / "m").exists()
+
+
 def test_adapt_and_eval(workdir, capsys):
     root, cfg = workdir
     ckpt = root / "src" / "source.htta"

@@ -9,8 +9,8 @@ from ttaswitch.harness import (MODES, PER_INSTANCE_COLUMNS, ROUND_SUMMARY_COLUMN
                                RunConfig, format_config, load_config,
                                measure_throughput, parse_config_text,
                                read_per_instance_csv, round_summary,
-                               run_experiment, run_mode_comparison, validate_config)
-from ttaswitch.model import init_params
+                               run_experiment, run_mode_comparison)
+from ttaswitch.model import ModelConfig, init_params
 from ttaswitch.source import train_source
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -51,6 +51,7 @@ def test_config_defaults_are_the_reference_recipe():
     assert (cfg.source_scenes, cfg.source_epochs, cfg.batch_size) == (200, 30, 8)
     assert cfg.mode == "hybrid" and cfg.optimizer == "adam"
     assert parse_config_text("") == cfg
+    assert cfg.model_config() == ModelConfig()   # the model defaults agree
 
 
 def test_shipped_configs_override_the_defaults():
@@ -89,17 +90,27 @@ def test_config_errors_carry_line_numbers():
 
 def test_config_semantic_validation():
     with pytest.raises(ValueError, match="mode"):
-        validate_config(tiny_cfg(mode="sometimes"))
+        tiny_cfg(mode="sometimes")
     with pytest.raises(ValueError, match="optimizer"):
-        validate_config(tiny_cfg(optimizer="lion"))
+        tiny_cfg(optimizer="lion")
     with pytest.raises(ValueError, match="severity"):
-        validate_config(tiny_cfg(severity=2.0))
+        tiny_cfg(severity=2.0)
     with pytest.raises(ValueError, match="divisible"):
-        validate_config(tiny_cfg(image_size=30))
+        tiny_cfg(image_size=30)
     with pytest.raises(ValueError, match="alpha"):
-        validate_config(tiny_cfg(alpha=1.5))
+        tiny_cfg(alpha=1.5)
     with pytest.raises(ValueError, match="alpha_l"):
         parse_config_text("alpha_l = 2")
+    # a config is checked whole however it is built
+    with pytest.raises(ValueError, match="fgo"):
+        parse_config_text("domains = fog,fgo")
+    with pytest.raises(ValueError, match="domains"):
+        RunConfig(domains=())
+    with pytest.raises(ValueError, match="palette"):
+        RunConfig(num_classes=9)
+    with pytest.raises(ValueError, match="severity"):
+        replace(RunConfig(), severity=2.0)
+    assert RunConfig(num_classes=8).model_config().num_classes == 8
 
 
 def test_load_config_missing_file(tmp_path):

@@ -12,6 +12,7 @@ from ttaswitch.autodiff import (
     recording,
 )
 from ttaswitch.model import (
+    CHANNELS,
     ModelConfig,
     PatchMask,
     adapter_fraction,
@@ -36,7 +37,7 @@ TINY = ModelConfig(image_size=8, patch_size=4, embed_dim=16, depth=2, heads=2,
 
 def _image(cfg, seed=0):
     rng = np.random.default_rng(seed)
-    return rng.random((cfg.channels, cfg.image_size, cfg.image_size))
+    return rng.random((CHANNELS, cfg.image_size, cfg.image_size))
 
 
 # ---------------------------------------------------------------------------
@@ -68,7 +69,7 @@ def test_param_groups_and_names():
     assert store.names() == [row[0] for row in parameter_layout(cfg)]
     counts = store.count_by_group()
     assert set(counts) == {"backbone", "adapter", "seg_head", "rec_head", "mask_token"}
-    assert counts["mask_token"] == cfg.channels * cfg.patch_size ** 2
+    assert counts["mask_token"] == CHANNELS * cfg.patch_size ** 2
     assert counts["seg_head"] == cfg.embed_dim * cfg.num_classes + cfg.num_classes
     assert counts["rec_head"] == cfg.embed_dim * cfg.patch_dim + cfg.patch_dim
 
@@ -151,8 +152,8 @@ def test_pixel_mask_counts():
     cfg = TINY
     pm = draw_mask(cfg.num_patches, 0.5, 0, 0)
     m = pixel_mask(pm, cfg)
-    assert m.shape == (cfg.channels, cfg.image_size, cfg.image_size)
-    assert m.sum() == pm.count * cfg.patch_size ** 2 * cfg.channels
+    assert m.shape == (CHANNELS, cfg.image_size, cfg.image_size)
+    assert m.sum() == pm.count * cfg.patch_size ** 2 * CHANNELS
     assert set(np.unique(m)) <= {0.0, 1.0}
 
 
@@ -160,7 +161,7 @@ def test_patchify_roundtrip_bits():
     cfg = TINY
     x = _image(cfg, seed=8)
     t = patchify(Tensor(x), cfg.patch_size)
-    back = unpatchify(t, cfg.channels, cfg.image_size, cfg.patch_size)
+    back = unpatchify(t, cfg.image_size, cfg.patch_size)
     assert back.data.tobytes() == np.ascontiguousarray(x).tobytes()
 
 
@@ -174,7 +175,7 @@ def test_batch_axis_masks_each_image_as_alone():
     pix = pixel_mask(stacked, cfg)
     tokens = patchify(Tensor(xs), cfg.patch_size)
     assert tokens.shape == (3, cfg.num_patches, cfg.patch_dim)
-    back = unpatchify(tokens, cfg.channels, cfg.image_size, cfg.patch_size)
+    back = unpatchify(tokens, cfg.image_size, cfg.patch_size)
     assert back.data.tobytes() == xs.tobytes()
     for i, pm in enumerate(pms):
         assert out.data[i].tobytes() == apply_mask(xs[i], pm, store["mask_token"],
@@ -245,7 +246,7 @@ def test_encode_shapes_and_determinism():
 def test_encode_zero_image_finite():
     cfg = TINY
     store = init_params(cfg, seed=3)
-    z = encode(np.zeros((cfg.channels, cfg.image_size, cfg.image_size)), store, cfg)
+    z = encode(np.zeros((CHANNELS, cfg.image_size, cfg.image_size)), store, cfg)
     assert np.all(np.isfinite(z.data))
 
 
@@ -271,7 +272,7 @@ def test_encode_shape_errors():
 def test_variable_size_inference_only():
     cfg = TINY
     store = init_params(cfg, seed=3)
-    big = np.random.default_rng(0).random((cfg.channels, 16, 16))
+    big = np.random.default_rng(0).random((CHANNELS, 16, 16))
     z = encode(big, store, cfg)
     assert z.shape == ((16 // cfg.patch_size) ** 2, cfg.embed_dim)
     with recording():
@@ -286,7 +287,7 @@ def test_decoder_shapes_and_task_guards():
     logits = seg_decode(z, store, cfg)
     assert logits.shape == (cfg.num_patches, cfg.num_classes)
     rec = rec_decode(z, store, cfg)
-    assert rec.shape == (cfg.channels, cfg.image_size, cfg.image_size)
+    assert rec.shape == (CHANNELS, cfg.image_size, cfg.image_size)
 
 
 def test_predict_labels():
@@ -354,8 +355,8 @@ def test_randomized_config_geometry():
                           heads=heads, num_classes=int(rng.integers(2, 7)),
                           adapter_dim=int(rng.integers(2, 9)))
         store = init_params(cfg, seed=int(rng.integers(1000)))
-        x = rng.random((cfg.channels, cfg.image_size, cfg.image_size))
+        x = rng.random((CHANNELS, cfg.image_size, cfg.image_size))
         z = encode(x, store, cfg)
         assert z.shape == (cfg.num_patches, cfg.embed_dim)
         assert seg_decode(z, store, cfg).shape == (cfg.num_patches, cfg.num_classes)
-        assert rec_decode(z, store, cfg).shape == (cfg.channels, cfg.image_size, cfg.image_size)
+        assert rec_decode(z, store, cfg).shape == (CHANNELS, cfg.image_size, cfg.image_size)

@@ -1,9 +1,12 @@
 import csv
+import gc
 
 import numpy as np
 import pytest
 
-from ttaswitch.autodiff import Optimizer
+from helpers import track_tapes
+from ttaswitch import autodiff
+from ttaswitch.autodiff import NonFiniteError, Optimizer
 from ttaswitch.checkpoint import load_checkpoint
 from ttaswitch.model import ModelConfig, draw_mask, init_params, masked_losses
 from ttaswitch.source import (SourceBatch, make_source_scenes, source_step,
@@ -99,6 +102,34 @@ def test_empty_batch_rejected():
     with pytest.raises(ValueError, match="empty batch"):
         source_step(SourceBatch((), ()), params, TINY, Optimizer("adam"),
                     1e-3, 0, 0)
+
+
+def test_failed_step_releases_its_tape(monkeypatch):
+    tapes = track_tapes(monkeypatch, autodiff)   # source builds its tape as ad.Tape()
+    params = init_params(TINY, seed=0)
+    params["seg_head.b"].data[0] = np.inf   # the encoder records; the head overflows
+    gc.disable()
+    try:
+        try:
+            source_step(_batch(TINY, 2), params, TINY, Optimizer("adam"), 1e-3, 0, 0)
+        except NonFiniteError:
+            pass   # not kept: a held traceback would keep the step's frame alive
+        else:
+            pytest.fail("the step did not raise")
+        assert len(tapes) == 0
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("config, optimizer_kind", [
+    (ModelConfig(num_classes=9), "adam"),   # more classes than the scene palette
+    (TINY, "lion"),
+])
+def test_train_refuses_bad_input_before_writing(tmp_path, config, optimizer_kind):
+    with pytest.raises(ValueError):
+        train_source(config, num_scenes=2, epochs=1, batch_size=2, lr=1e-3, seed=0,
+                     out_dir=tmp_path / "out", optimizer_kind=optimizer_kind)
+    assert not (tmp_path / "out").exists()
 
 
 def test_train_epochs_zero_saves_init(tmp_path):

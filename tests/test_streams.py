@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from ttaswitch.streams import (CORRUPTIONS, CorruptionSpec, SceneSpec, apply_corruption,
+from ttaswitch.model import ModelConfig
+from ttaswitch.streams import (CORRUPTIONS, MAX_CLASSES, CorruptionSpec, apply_corruption,
                                build_stream, generate_scene, majority_patch_labels,
                                stream_from_manifest, stream_manifest, write_manifest)
 
-SPEC = SceneSpec(image_size=16, patch_size=4, num_classes=5)
+SPEC = ModelConfig(image_size=16, patch_size=4, num_classes=5)
 
 
 # ---------------------------------------------------------------------------
@@ -132,7 +133,7 @@ def test_default_stream_schedule():
 
 
 def test_stream_order_determinism_and_single_pass():
-    args = dict(spec=SPEC, domains=("fog", "night"), per_domain=2, rounds=2,
+    args = dict(config=SPEC, domains=("fog", "night"), per_domain=2, rounds=2,
                 seed=5, severity=0.8)
     a = list(build_stream(**args))
     assert [i.domain for i in a] == ["fog", "fog", "night", "night"] * 2
@@ -154,12 +155,6 @@ def test_stream_labels_match_clean_scene():
         assert not np.array_equal(inst.image, clean.image)  # pixels corrupted
 
 
-def test_clean_domain_passthrough():
-    inst = next(build_stream(SPEC, ("clean",), per_domain=1, rounds=1, seed=4))
-    clean = generate_scene(inst.scene_seed, SPEC)
-    assert np.array_equal(inst.image, clean.image)
-
-
 def test_manifest_replay_is_byte_identical(tmp_path):
     rows = stream_manifest(("fog", "snow"), per_domain=3, rounds=2, seed=21)
     path = write_manifest(rows, tmp_path / "stream.csv")
@@ -177,6 +172,8 @@ def test_stream_validation():
         build_stream(SPEC, (), 1, 1, 0)
     with pytest.raises(ValueError, match="unknown corruption"):
         build_stream(SPEC, ("blur",), 1, 1, 0)
+    with pytest.raises(ValueError, match="unknown corruption 'clean'"):
+        build_stream(SPEC, ("clean",), 1, 1, 0)
     with pytest.raises(ValueError, match=">= 1"):
         build_stream(SPEC, ("fog",), 0, 1, 0)
 
@@ -189,11 +186,20 @@ def test_manifest_bad_columns_rejected(tmp_path):
 
 
 def test_two_class_scenes_hold_one_object():
-    spec = SceneSpec(image_size=16, patch_size=4, num_classes=2)
+    spec = ModelConfig(image_size=16, patch_size=4, num_classes=2)
     for seed in range(5):
         scene = generate_scene(seed, spec)
         assert [obj[0] for obj in scene.layout] == [1]
         assert set(np.unique(scene.labels)) <= {0, 1}
+
+
+def test_scene_palette_bound():
+    assert MAX_CLASSES == 8
+    generate_scene(0, ModelConfig(image_size=16, patch_size=4, num_classes=MAX_CLASSES))
+    with pytest.raises(ValueError, match="palette"):
+        generate_scene(0, ModelConfig(image_size=16, patch_size=4, num_classes=9))
+    with pytest.raises(ValueError, match="palette"):
+        next(build_stream(ModelConfig(num_classes=9), ("fog",), 1, 1, 0))
 
 
 def test_label_census_covers_every_class():
