@@ -28,9 +28,18 @@ tuning iff the loss is strictly above tau) replaces the input detector.
 
 Per-instance step order (fixed; tests rely on it):
 
-    teacher forward -> mask draw -> student forward (both heads)
-    -> tuning decision -> backward + optimizer step
+    teacher forward -> mask draw -> shift detection (the decision)
+    -> student forward (both heads) [-> decision_fn, when injected]
+    -> backward + optimizer step
     -> threshold and detector update -> teacher EMA update + counters
+
+With the input detector the decision comes before the student forward.
+An ET step then records that forward over a store in which every
+parameter outside ET_GROUPS is a gradient-free alias of the student's
+array, so the tape holds only what depends on the adapters and backward
+computes no gradient the optimizer would discard. An injected
+`decision_fn` needs the student's loss, so it decides after the forward,
+and the whole forward is recorded.
 
 A non-finite loss anywhere in the step quarantines the instance: no
 parameter, optimizer, threshold, detector, or teacher state changes, the
@@ -219,15 +228,17 @@ class AdaptationEngine:
             labels = self.pseudo_label(image)
             patch_mask = m.draw_mask(cfg.num_patches, cfg.mask_ratio,
                                      self.mask_seed, t_index)
+            use_ft, shift_state = detect_shift(self.shift_state, image, self.alpha_l)
+            student = self.student
+            if self.decision_fn is None and not use_ft:
+                student = student.frozen_except(ET_GROUPS)
             tape = Tape()
             try:
                 with ad.recording(tape):
                     self.forward_count += 1
                     loss_seg, loss_rec, logits = m.masked_losses(
-                        image, labels, patch_mask, self.student, cfg)
+                        image, labels, patch_mask, student, cfg)
                     loss_total = ad.add(loss_seg, loss_rec)
-                    use_ft, shift_state = detect_shift(self.shift_state, image,
-                                                       self.alpha_l)
                     if self.decision_fn is not None:
                         use_ft = bool(self.decision_fn(float(loss_seg.data), self.tau))
                     ad.backward(loss_total)

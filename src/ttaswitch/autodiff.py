@@ -10,6 +10,16 @@ Non-finite values are an error state everywhere: constructing a tensor
 from, or producing, NaN/Inf raises NonFiniteError instead of propagating
 silently.
 
+Each VJP returns None, and skips the work, for an input that did not
+require a gradient when the primitive ran: a frozen weight costs no
+weight-gradient GEMM and no bias sum.
+
+Three layer primitives, `linear`, `ln_affine` and `attention`, each record
+one node for what the elementwise primitives record as 2, 3 and 21. They
+replay the composed path's numpy calls in the same order and on the same
+memory layouts, so values and gradients are bit-identical to it, and they
+check every intermediate the composed path would have checked.
+
 Broadcasting is restricted to leading axes: shapes align from the right
 and a size-1 (or absent) dimension may only broadcast if every dimension
 to its left in the same operand is also size 1 or absent.
@@ -108,9 +118,21 @@ def as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def _emit(op: str, inputs: tuple[Tensor, ...], out_data: np.ndarray, vjp: Callable) -> Tensor:
-    if not np.all(np.isfinite(out_data)):
+def detach(a: Tensor) -> Tensor:
+    """A gradient-free tensor over the same array: no copy and no check."""
+    out = Tensor.__new__(Tensor)
+    out.data, out.requires_grad, out.grad, out.tape = a.data, False, None, None
+    return out
+
+
+def _check(op: str, data: np.ndarray) -> np.ndarray:
+    if not np.all(np.isfinite(data)):
         raise NonFiniteError(f"{op}: non-finite output")
+    return data
+
+
+def _emit(op: str, inputs: tuple[Tensor, ...], out_data: np.ndarray, vjp: Callable) -> Tensor:
+    _check(op, out_data)
     out = Tensor.__new__(Tensor)
     out_data = np.asarray(out_data, dtype=np.float64)
     if not out_data.flags["C_CONTIGUOUS"]:
@@ -181,12 +203,14 @@ def matmul(a, b) -> Tensor:
         raise ShapeError(f"matmul: rank >= 2 required, got {da.shape} @ {db.shape}")
     if da.shape[-1] != db.shape[-2]:
         raise ShapeError(f"matmul: contraction mismatch {da.shape} @ {db.shape}")
+    need_a, need_b = a.requires_grad, b.requires_grad
     if da.ndim > 2 and db.ndim == 2:
         a2 = da.reshape(-1, da.shape[-1])   # a view: tensor data is C-contiguous
 
         def vjp_rows(g):
             g2 = g.reshape(-1, g.shape[-1])
-            return (g2 @ db.T).reshape(da.shape), a2.T @ g2
+            return ((g2 @ db.T).reshape(da.shape) if need_a else None,
+                    a2.T @ g2 if need_b else None)
 
         out = (a2 @ db).reshape(da.shape[:-1] + (db.shape[-1],))
         return _emit("matmul", (a, b), out, vjp_rows)
@@ -194,8 +218,8 @@ def matmul(a, b) -> Tensor:
     out = da @ db
 
     def vjp(g):
-        ga = _unbcast(g @ np.swapaxes(db, -1, -2), da.shape)
-        gb = _unbcast(np.swapaxes(da, -1, -2) @ g, db.shape)
+        ga = _unbcast(g @ np.swapaxes(db, -1, -2), da.shape) if need_a else None
+        gb = _unbcast(np.swapaxes(da, -1, -2) @ g, db.shape) if need_b else None
         return ga, gb
 
     return _emit("matmul", (a, b), out, vjp)
@@ -205,9 +229,11 @@ def add(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     _leading_bcast_shape(a.shape, b.shape, "add")
     da, db = a.data, b.data
+    need_a, need_b = a.requires_grad, b.requires_grad
 
     def vjp(g):
-        return _unbcast(g, da.shape), _unbcast(g, db.shape)
+        return (_unbcast(g, da.shape) if need_a else None,
+                _unbcast(g, db.shape) if need_b else None)
 
     return _emit("add", (a, b), da + db, vjp)
 
@@ -217,9 +243,11 @@ def mul(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     _leading_bcast_shape(a.shape, b.shape, "mul")
     da, db = a.data, b.data
+    need_a, need_b = a.requires_grad, b.requires_grad
 
     def vjp(g):
-        return _unbcast(g * db, da.shape), _unbcast(g * da, db.shape)
+        return (_unbcast(g * db, da.shape) if need_a else None,
+                _unbcast(g * da, db.shape) if need_b else None)
 
     return _emit("mul", (a, b), da * db, vjp)
 
@@ -300,18 +328,26 @@ def layer_norm(a) -> Tensor:
     x = a.data
     if x.ndim < 1 or x.shape[-1] < 1:
         raise ShapeError(f"layer_norm: needs a non-empty last axis, got {x.shape}")
+    y, inv = _ln(x)
+
+    def vjp(g):
+        return (_ln_vjp(g, y, inv),)
+
+    return _emit("layer_norm", (a,), y, vjp)
+
+
+def _ln(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     mu = x.mean(axis=-1, keepdims=True)
     xc = x - mu
     var = (xc * xc).mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + _LN_EPS)
-    y = xc * inv
+    return xc * inv, inv
 
-    def vjp(g):
-        gm = g.mean(axis=-1, keepdims=True)
-        gy = (g * y).mean(axis=-1, keepdims=True)
-        return (inv * (g - gm - y * gy),)
 
-    return _emit("layer_norm", (a,), y, vjp)
+def _ln_vjp(g: np.ndarray, y: np.ndarray, inv: np.ndarray) -> np.ndarray:
+    gm = g.mean(axis=-1, keepdims=True)
+    gy = (g * y).mean(axis=-1, keepdims=True)
+    return inv * (g - gm - y * gy)
 
 
 def softmax_lastdim(a) -> Tensor:
@@ -319,15 +355,23 @@ def softmax_lastdim(a) -> Tensor:
     x = a.data
     if x.ndim < 1:
         raise ShapeError("softmax_lastdim: rank >= 1 required")
-    z = x - x.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    y = e / e.sum(axis=-1, keepdims=True)
+    y = _softmax(x)
 
     def vjp(g):
-        dot = (g * y).sum(axis=-1, keepdims=True)
-        return (y * (g - dot),)
+        return (_softmax_vjp(g, y),)
 
     return _emit("softmax_lastdim", (a,), y, vjp)
+
+
+def _softmax(x: np.ndarray) -> np.ndarray:
+    z = x - x.max(axis=-1, keepdims=True)
+    e = np.exp(z)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def _softmax_vjp(g: np.ndarray, y: np.ndarray) -> np.ndarray:
+    dot = (g * y).sum(axis=-1, keepdims=True)
+    return y * (g - dot)
 
 
 def mean(a, axis: int | None = None) -> Tensor:
@@ -356,6 +400,136 @@ def mean(a, axis: int | None = None) -> Tensor:
         return (np.repeat(np.expand_dims(g / n, ax), n, axis=ax),)
 
     return _emit("mean", (a,), out, vjp)
+
+
+# ---------------------------------------------------------------------------
+# layer primitives
+# ---------------------------------------------------------------------------
+
+def _affine(x: np.ndarray, w: np.ndarray, b: np.ndarray, op: str):
+    """(x2, x @ w + b) computed as `matmul` then `add`; the product is checked.
+
+    x2 is x with its leading axes folded into rows (x itself at rank 2).
+    """
+    x2 = x.reshape(-1, x.shape[-1]) if x.ndim > 2 else x
+    prod = x2 @ w
+    if x.ndim > 2:
+        prod = prod.reshape(x.shape[:-1] + (w.shape[1],))
+    return x2, _check(op, prod) + b
+
+
+def _affine_vjp(g, x, x2, w, need_x: bool, need_w: bool, need_b: bool):
+    """(gx, gw, gb) of `_affine` as the `add` and `matmul` VJPs compute them."""
+    gb = g.sum(axis=tuple(range(g.ndim - 1))) if need_b else None
+    g2 = g.reshape(-1, g.shape[-1]) if g.ndim > 2 else g
+    gx = None
+    if need_x:
+        gx = g2 @ w.T
+        if g.ndim > 2:
+            gx = gx.reshape(x.shape)
+    return gx, x2.T @ g2 if need_w else None, gb
+
+
+def _check_affine(op: str, x: np.ndarray, w: np.ndarray, b: np.ndarray) -> None:
+    if x.ndim < 2 or w.ndim != 2 or x.shape[-1] != w.shape[0] or b.shape != w.shape[1:]:
+        raise ShapeError(f"{op}: cannot apply {w.shape} weights and {b.shape} bias "
+                         f"to {x.shape}")
+
+
+def linear(x, w, b) -> Tensor:
+    """x [..., k] @ w [k, m] + b [m]: `add(matmul(x, w), b)` as one node."""
+    x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
+    dx, dw = x.data, w.data
+    _check_affine("linear", dx, dw, b.data)
+    x2, out = _affine(dx, dw, b.data, "linear")
+    need = (x.requires_grad, w.requires_grad, b.requires_grad)
+
+    def vjp(g):
+        return _affine_vjp(g, dx, x2, dw, *need)
+
+    return _emit("linear", (x, w, b), out, vjp)
+
+
+def ln_affine(x, g, b) -> Tensor:
+    """layer_norm(x) * g + b over the last axis: `add(mul(layer_norm(x), g), b)`."""
+    x, g, b = as_tensor(x), as_tensor(g), as_tensor(b)
+    dx, dg = x.data, g.data
+    if dx.ndim < 1 or dx.shape[-1] < 1 or dg.shape != dx.shape[-1:] or b.shape != dg.shape:
+        raise ShapeError(f"ln_affine: cannot apply {dg.shape} gain and {b.shape} bias "
+                         f"to {dx.shape}")
+    y, inv = _ln(dx)
+    out = _check("ln_affine", _check("ln_affine", y) * dg) + b.data
+    need_x, need_g, need_b = x.requires_grad, g.requires_grad, b.requires_grad
+    lead = tuple(range(dx.ndim - 1))
+
+    def vjp(go):
+        return (_ln_vjp(go * dg, y, inv) if need_x else None,
+                (go * y).sum(axis=lead) if need_g else None,
+                go.sum(axis=lead) if need_b else None)
+
+    return _emit("ln_affine", (x, g, b), out, vjp)
+
+
+def attention(x, wq, bq, wk, bk, wv, bv, wo, bo, heads: int) -> Tensor:
+    """Multi-head self-attention over x [..., n, d] as one node.
+
+    q, k and v are `linear` projections of x, split into `heads` of
+    d / heads; softmax(q k^T / sqrt(d / heads)) mixes v, and (wo, bo)
+    projects the heads back to d. This is the composition of 21 primitives
+    (`linear` counted as matmul and add), with its copies and checks.
+    """
+    x = as_tensor(x)
+    params = tuple(as_tensor(t) for t in (wq, bq, wk, bk, wv, bv, wo, bo))
+    dx, heads = x.data, int(heads)
+    d = dx.shape[-1] if dx.ndim else 0
+    shapes = [t.shape for t in params]
+    if dx.ndim < 2 or heads < 1 or d % heads or shapes != [(d, d), (d,)] * 4:
+        raise ShapeError(f"attention: cannot split {dx.shape} into {heads} heads "
+                         f"with weights {shapes}")
+    lead, n = dx.shape[:-2], dx.shape[-2]
+    dh, r = d // heads, len(lead)
+    split = tuple(range(r)) + (r + 1, r, r + 2)   # tokens <-> heads; its own inverse
+    swap = tuple(range(r)) + (r, r + 2, r + 1)    # the last two axes; its own inverse
+    c = 1.0 / math.sqrt(dh)
+    (dwq, dbq, dwk, dbk, dwv, dbv, dwo, dbo) = (t.data for t in params)
+
+    def project(w, b):   # [..., heads, n, dh], a C-contiguous copy as `transpose` makes
+        x2, t = _affine(dx, w, b, "attention")
+        t = _check("attention", t).reshape(lead + (n, heads, dh))
+        return x2, np.ascontiguousarray(np.transpose(t, split))
+
+    x2, q = project(dwq, dbq)
+    _, k = project(dwk, dbk)
+    _, v = project(dwv, dbv)
+    kt = np.ascontiguousarray(np.transpose(k, swap))
+    att = _check("attention", _softmax(_check("attention", _check("attention", q @ kt) * c)))
+    mixed = _check("attention", att @ v)
+    ctx = np.ascontiguousarray(np.transpose(mixed, split)).reshape(lead + (n, d))
+    ctx2, out = _affine(ctx, dwo, dbo, "attention")
+    need_x = x.requires_grad
+    need = tuple(t.requires_grad for t in params)
+
+    def vjp(g):
+        grads = [None] * 9
+        g_ctx, grads[7], grads[8] = _affine_vjp(g, ctx, ctx2, dwo, need_x or any(need[:6]),
+                                                *need[6:])
+        if g_ctx is None:
+            return tuple(grads)
+        g_mixed = np.transpose(g_ctx.reshape(lead + (n, heads, dh)), split)
+        g_att = g_mixed @ np.swapaxes(v, -1, -2)
+        g_v = np.swapaxes(att, -1, -2) @ g_mixed
+        g_scores = _softmax_vjp(g_att, att) * c
+        g_q = g_scores @ np.swapaxes(kt, -1, -2)
+        g_k = np.transpose(np.swapaxes(q, -1, -2) @ g_scores, swap)
+        # v, then k, then q: the order in which the composed tape sums into x
+        for i, w, g_t in ((5, dwv, g_v), (3, dwk, g_k), (1, dwq, g_q)):
+            g_t = np.transpose(g_t, split).reshape(lead + (n, d))
+            gx, grads[i], grads[i + 1] = _affine_vjp(g_t, dx, x2, w, need_x, *need[i - 1:i + 1])
+            if gx is not None:
+                grads[0] = gx if grads[0] is None else grads[0] + gx
+        return tuple(grads)
+
+    return _emit("attention", (x,) + params, out, vjp)
 
 
 # ---------------------------------------------------------------------------
@@ -481,6 +655,9 @@ class Optimizer:
     Moment buffers and step counts are kept per parameter name and are
     shared across steps regardless of which group filter each step used.
     Parameters whose `.grad` is None are skipped without advancing state.
+    Adam updates in place through two scratch buffers per parameter, in the
+    operation order of `lr * mhat / (sqrt(vhat) + eps)`, so a step
+    allocates nothing after a parameter's first.
     """
 
     def __init__(self, kind: str = "adam"):
@@ -490,6 +667,7 @@ class Optimizer:
         self._m: dict[str, np.ndarray] = {}
         self._v: dict[str, np.ndarray] = {}
         self._t: dict[str, int] = {}
+        self._scratch: dict[str, tuple[np.ndarray, np.ndarray]] = {}
 
     def step(self, params, group_filter, lr: float) -> list[str]:
         """Update parameters whose group is in `group_filter`; clear all grads.
@@ -517,17 +695,25 @@ class Optimizer:
                 if m is None:
                     m = self._m[name] = np.zeros_like(p.data)
                     self._v[name] = np.zeros_like(p.data)
+                    self._scratch[name] = (np.empty_like(p.data), np.empty_like(p.data))
                     self._t[name] = 0
                 v = self._v[name]
+                s, r = self._scratch[name]
                 t = self._t[name] + 1
                 self._t[name] = t
                 m *= ADAM_BETA1
-                m += (1.0 - ADAM_BETA1) * g
+                m += np.multiply(1.0 - ADAM_BETA1, g, out=s)
                 v *= ADAM_BETA2
-                v += (1.0 - ADAM_BETA2) * (g * g)
-                mhat = m / (1.0 - ADAM_BETA1 ** t)
-                vhat = v / (1.0 - ADAM_BETA2 ** t)
-                p.data -= lr * mhat / (np.sqrt(vhat) + ADAM_EPS)
+                np.multiply(g, g, out=s)
+                s *= 1.0 - ADAM_BETA2
+                v += s
+                np.divide(m, 1.0 - ADAM_BETA1 ** t, out=s)   # mhat
+                s *= lr
+                np.divide(v, 1.0 - ADAM_BETA2 ** t, out=r)   # vhat
+                np.sqrt(r, out=r)
+                r += ADAM_EPS
+                s /= r
+                p.data -= s
             updated.append(name)
         for n in params.names():
             params[n].grad = None

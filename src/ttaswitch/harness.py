@@ -79,6 +79,8 @@ class RunConfig:
         if not self.domains or not set(self.domains) <= set(CORRUPTIONS):
             raise ValueError(f"domains must be one or more of {CORRUPTIONS}, "
                              f"got {self.domains}")
+        if len(set(self.domains)) != len(self.domains):
+            raise ValueError(f"domains must not repeat, got {self.domains}")
         if self.per_domain < 1 or self.rounds < 1:
             raise ValueError("per_domain and rounds must be >= 1")
         if not 0.0 <= self.severity <= 1.0:

@@ -23,20 +23,22 @@ passes one.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import ndimage
 
 from . import autodiff as ad
-from .autodiff import (
+from .autodiff import (  # the ten tracing.MODEL_OPS stay bound: perfbench patches them here
     NonFiniteError,
     Tensor,
     add,
     as_tensor,
+    attention,
     gelu,
     layer_norm,
+    linear,
+    ln_affine,
     matmul,
     mul,
     relu,
@@ -299,48 +301,30 @@ def pixel_mask(patch_mask: PatchMask, config: ModelConfig) -> np.ndarray:
 # forward
 # ---------------------------------------------------------------------------
 
-def _ln_affine(x, g: Tensor, b: Tensor) -> Tensor:
-    return add(mul(layer_norm(x), g), b)
-
-
 def _attention(x, params: ParamStore, config: ModelConfig, pre: str) -> Tensor:
-    lead, n = x.shape[:-2], x.shape[-2]
-    h, dh = config.heads, config.head_dim
-    r = len(lead)
-    heads_axes = tuple(range(r)) + (r + 1, r, r + 2)   # swaps tokens and heads
-    key_axes = tuple(range(r)) + (r, r + 2, r + 1)     # swaps the last two
-
-    def proj(w, b):
-        t = add(matmul(x, params[pre + "attn." + w]), params[pre + "attn." + b])
-        return transpose(reshape(t, lead + (n, h, dh)), heads_axes)  # [..., heads, n, dh]
-
-    q = proj("wq", "bq")
-    k = proj("wk", "bk")
-    v = proj("wv", "bv")
-    scores = scalar_mul(matmul(q, transpose(k, key_axes)), 1.0 / math.sqrt(dh))
-    attn = softmax_lastdim(scores)
-    ctx = reshape(transpose(matmul(attn, v), heads_axes), lead + (n, config.embed_dim))
-    return add(matmul(ctx, params[pre + "attn.wo"]), params[pre + "attn.bo"])
+    return attention(x, *(params[pre + "attn." + n]
+                          for n in ("wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo")),
+                     heads=config.heads)
 
 
 def _mlp(x, params: ParamStore, pre: str) -> Tensor:
-    hdn = gelu(add(matmul(x, params[pre + "mlp.w1"]), params[pre + "mlp.b1"]))
-    return add(matmul(hdn, params[pre + "mlp.w2"]), params[pre + "mlp.b2"])
+    hdn = gelu(linear(x, params[pre + "mlp.w1"], params[pre + "mlp.b1"]))
+    return linear(hdn, params[pre + "mlp.w2"], params[pre + "mlp.b2"])
 
 
 def _adapter(x, params: ParamStore, config: ModelConfig, pre: str) -> Tensor | None:
     if pre + "adapter.down.w" not in params:
         return None
-    a = relu(add(matmul(x, params[pre + "adapter.down.w"]), params[pre + "adapter.down.b"]))
-    a = add(matmul(a, params[pre + "adapter.up.w"]), params[pre + "adapter.up.b"])
+    a = relu(linear(x, params[pre + "adapter.down.w"], params[pre + "adapter.down.b"]))
+    a = linear(a, params[pre + "adapter.up.w"], params[pre + "adapter.up.b"])
     return scalar_mul(a, config.adapter_scale)
 
 
 def _block(x, params: ParamStore, config: ModelConfig, i: int) -> Tensor:
     pre = f"blocks.{i}."
-    x = add(x, _attention(_ln_affine(x, params[pre + "ln1.g"], params[pre + "ln1.b"]),
+    x = add(x, _attention(ln_affine(x, params[pre + "ln1.g"], params[pre + "ln1.b"]),
                           params, config, pre))
-    n2 = _ln_affine(x, params[pre + "ln2.g"], params[pre + "ln2.b"])
+    n2 = ln_affine(x, params[pre + "ln2.g"], params[pre + "ln2.b"])
     m = _mlp(n2, params, pre)
     a = _adapter(n2, params, config, pre)
     return add(x, m if a is None else add(m, a))
@@ -375,26 +359,26 @@ def encode(x, params: ParamStore, config: ModelConfig) -> Tensor:
         raise ValueError(f"encode: size {x.shape[-1]} not divisible by patch "
                          f"{config.patch_size}")
     grid = x.shape[-1] // config.patch_size
-    tokens = add(matmul(patchify(x, config.patch_size), params["patch_embed.w"]),
-                 params["patch_embed.b"])
+    tokens = linear(patchify(x, config.patch_size), params["patch_embed.w"],
+                    params["patch_embed.b"])
     h = add(tokens, _pos_embed_for_grid(params, config, grid))
     for i in range(config.depth):
         try:
             h = _block(h, params, config, i)
         except NonFiniteError as e:
             raise NonFiniteError(f"non-finite activations in block {i}: {e}") from e
-    return _ln_affine(h, params["final_ln.g"], params["final_ln.b"])
+    return ln_affine(h, params["final_ln.g"], params["final_ln.b"])
 
 
 def seg_decode(z, params: ParamStore, config: ModelConfig) -> Tensor:
     """Per-patch class logits [..., num_patches, num_classes]."""
-    return add(matmul(z, params["seg_head.w"]), params["seg_head.b"])
+    return linear(z, params["seg_head.w"], params["seg_head.b"])
 
 
 def rec_decode(z, params: ParamStore, config: ModelConfig) -> Tensor:
     """Per-pixel reconstruction [..., c, h, w] from patch features."""
     z = as_tensor(z)
-    tokens = add(matmul(z, params["rec_head.w"]), params["rec_head.b"])
+    tokens = linear(z, params["rec_head.w"], params["rec_head.b"])
     if z.shape[-2] != config.num_patches:
         raise ValueError("rec_decode: token count does not match config grid")
     return unpatchify(tokens, config.image_size, config.patch_size)

@@ -8,7 +8,7 @@ and the checkpoint header. `model.parameter_layout` assigns each group.
 """
 from __future__ import annotations
 
-from .autodiff import Tensor
+from .autodiff import Tensor, detach
 
 GROUPS = ("backbone", "adapter", "seg_head", "rec_head", "mask_token")
 
@@ -71,6 +71,18 @@ class ParamStore:
         out = ParamStore()
         for n in names:
             out.add(n, self[n], self._groups[n])
+        return out
+
+    def frozen_except(self, groups) -> "ParamStore":
+        """New store over the same arrays; only `groups` keep requiring gradients.
+
+        Every other entry is a gradient-free alias (`autodiff.detach`), so a
+        tape records no operation that depends on those entries alone.
+        """
+        out = ParamStore()
+        for n, t in self._tensors.items():
+            g = self._groups[n]
+            out.add(n, t if g in groups else detach(t), g)
         return out
 
     def clone(self) -> "ParamStore":

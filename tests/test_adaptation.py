@@ -1,12 +1,13 @@
 import gc
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from helpers import make_fake_clock, track_tapes
 from ttaswitch import adaptation
-from ttaswitch.adaptation import (ET, FT, SKIP, TEACHER_GROUPS, decide_shift,
+from ttaswitch.adaptation import (ET, FT, SKIP, TEACHER_GROUPS, StepReport, decide_shift,
                                   detect_shift, ema_update, ft_window, init_adaptation,
                                   input_statistics, update_threshold)
 from ttaswitch.autodiff import NonFiniteError, Optimizer, Tensor
@@ -290,6 +291,59 @@ def test_quarantined_step_releases_its_tape(trained, monkeypatch):
         assert len(tapes) == 0
     finally:
         gc.enable()
+
+
+def test_pruned_et_tape_matches_the_full_tape(trained, monkeypatch):
+    # The detector's decisions, computed without a model, replayed through a
+    # decision_fn: that engine records the whole forward on every step.
+    stream = list(build_stream(TINY, ("fog", "night", "rain"), per_domain=12, rounds=1,
+                               seed=4, severity=0.8))
+    state, decisions = None, []
+    for inst in stream:
+        full_tuning, state = detect_shift(state, inst.image, 0.9)
+        decisions.append(full_tuning)
+    assert 0 < sum(decisions) < len(decisions)
+    replay = iter(decisions)
+    pruned = fresh_engine(trained, alpha_l=0.9, clock=make_fake_clock())
+    full = fresh_engine(trained, alpha_l=0.9, clock=make_fake_clock(),
+                        decision_fn=lambda loss, tau: next(replay))
+
+    nodes, with_grad = [], []
+    backward = adaptation.ad.backward
+
+    def counting_backward(loss):
+        nodes.append(len(loss.tape))
+        backward(loss)
+
+    monkeypatch.setattr(adaptation.ad, "backward", counting_backward)
+    for engine in (pruned, full):
+        def spying(params, groups, lr, step=engine.optimizer.step):
+            with_grad.append({n for n in params.names() if params[n].grad is not None})
+            return step(params, groups, lr)
+        engine.optimizer.step = spying
+
+    adapters = set(pruned.student.group_names("adapter"))
+    for i, inst in enumerate(stream):
+        got = pruned.step(inst.image, i, inst.domain)
+        want = full.step(inst.image, i, inst.domain)
+        for f in fields(StepReport):
+            a, b = getattr(got, f.name), getattr(want, f.name)
+            assert (a.tobytes() == b.tobytes() if isinstance(a, np.ndarray) else a == b), \
+                (i, f.name)
+        (pruned_nodes, full_nodes), (pruned_grads, full_grads) = nodes[-2:], with_grad[-2:]
+        assert full_grads == set(full.student.names())
+        if got.decision == ET:
+            assert pruned_grads == adapters, i    # no backbone leaf gets a .grad
+            assert pruned_nodes < full_nodes == nodes[0], i   # nodes[0]: step 0, FT
+        else:
+            assert pruned_grads == full_grads and pruned_nodes == full_nodes, i
+    for store in ("student", "teacher"):
+        assert getattr(pruned, store).snapshot_bytes() == getattr(full, store).snapshot_bytes()
+    for moments in ("_m", "_v"):
+        a, b = getattr(pruned.optimizer, moments), getattr(full.optimizer, moments)
+        assert a.keys() == b.keys()
+        assert all(a[n].tobytes() == b[n].tobytes() for n in a), moments
+    assert pruned.optimizer._t == full.optimizer._t
 
 
 def test_full_run_is_reproducible(trained):

@@ -4,17 +4,23 @@ import numpy as np
 import pytest
 
 from ttaswitch.autodiff import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPS,
     GraphError,
     NonFiniteError,
     Optimizer,
     ShapeError,
     Tensor,
     add,
+    attention,
     backward,
     cross_entropy,
     gelu,
     l1_masked,
     layer_norm,
+    linear,
+    ln_affine,
     matmul,
     mean,
     mul,
@@ -388,6 +394,226 @@ def test_grad_l1_masked():
 
 
 # ---------------------------------------------------------------------------
+# layer primitives: linear, ln_affine, attention
+# ---------------------------------------------------------------------------
+
+ATTN_NAMES = ("x", "wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo")
+
+
+def composed_linear(x, w, b):
+    return add(matmul(x, w), b)
+
+
+def composed_ln_affine(x, g, b):
+    return add(mul(layer_norm(x), g), b)
+
+
+def composed_attention(x, wq, bq, wk, bk, wv, bv, wo, bo, heads, xs=None):
+    """Attention as 21 elementwise primitives; `xs` gives q, k, v their own x."""
+    lead, n, d = x.shape[:-2], x.shape[-2], x.shape[-1]
+    dh, r = d // heads, len(lead)
+    heads_axes = tuple(range(r)) + (r + 1, r, r + 2)
+    key_axes = tuple(range(r)) + (r, r + 2, r + 1)
+
+    def proj(xi, w, b):
+        return transpose(reshape(add(matmul(xi, w), b), lead + (n, heads, dh)), heads_axes)
+
+    xq, xk, xv = xs or (x, x, x)
+    q, k, v = proj(xq, wq, bq), proj(xk, wk, bk), proj(xv, wv, bv)
+    scores = scalar_mul(matmul(q, transpose(k, key_axes)), 1.0 / math.sqrt(dh))
+    ctx = reshape(transpose(matmul(softmax_lastdim(scores), v), heads_axes), lead + (n, d))
+    return add(matmul(ctx, wo), bo)
+
+
+def _layer_cases(lead, seed):
+    """(name, fused, composed, arrays) for each layer primitive at `lead + (5, 8)`."""
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=lead + (5, 8))
+    lin = [x, rng.normal(size=(8, 6)), rng.normal(size=(6,))]
+    ln = [x * 3.0 + 1.0, rng.normal(size=(8,)), rng.normal(size=(8,))]
+    att = [x] + [rng.normal(size=(8, 8)) * 0.5 if i % 2 == 0 else rng.normal(size=(8,))
+                 for i in range(8)]
+    return [("linear", linear, composed_linear, lin),
+            ("ln_affine", ln_affine, composed_ln_affine, ln),
+            ("attention", lambda *t: attention(*t, heads=2),
+             lambda *t: composed_attention(*t, heads=2), att)]
+
+
+def _loss_grads(build, arrays, weight, free=()):
+    """Output bytes and leaf grads of mean(build(leaves) * weight); `free` leaves frozen."""
+    leaves = [Tensor(a, requires_grad=i not in free) for i, a in enumerate(arrays)]
+    with recording():
+        out = build(*leaves)
+        backward(mean(mul(out, Tensor(weight))))
+    return out.data.tobytes(), [None if t.grad is None else t.grad.tobytes() for t in leaves]
+
+
+@pytest.mark.parametrize("lead", [(), (3,)], ids=["rank2", "batched"])
+def test_layer_primitives_match_composed_path_bit_for_bit(lead):
+    for name, fused, composed, arrays in _layer_cases(lead, seed=20 + len(lead)):
+        weight = np.random.default_rng(5).normal(size=lead + (5, arrays[1].shape[-1]))
+        with recording() as tape:
+            fused(*[Tensor(a, requires_grad=True) for a in arrays])
+        assert len(tape) == 1, name
+        got = _loss_grads(fused, arrays, weight)
+        want = _loss_grads(composed, arrays, weight)
+        assert got[0] == want[0], f"{name}: forward"
+        for i, (g, w) in enumerate(zip(got[1], want[1])):
+            assert g is not None and g == w, f"{name}: gradient of input {i}"
+
+
+def test_attention_input_sums_v_then_k_then_q():
+    # The composed tape sums the three paths into x in reverse record order.
+    _, fused, _, arrays = _layer_cases((3,), seed=22)[2]
+    weight = np.random.default_rng(6).normal(size=(3, 5, 8))
+    gx = np.frombuffer(_loss_grads(fused, arrays, weight)[1][0]).reshape(arrays[0].shape)
+    split = [arrays[0]] * 3 + arrays[1:]
+
+    def build(xq, xk, xv, *params):
+        return composed_attention(xq, *params, heads=2, xs=(xq, xk, xv))
+
+    gq, gk, gv = (np.frombuffer(g).reshape(gx.shape)
+                  for g in _loss_grads(build, split, weight)[1][:3])
+    assert gx.tobytes() == ((gv + gk) + gq).tobytes()
+    assert gx.tobytes() != ((gq + gk) + gv).tobytes()   # the order shows in the bits
+
+
+@pytest.mark.parametrize("lead", [(), (3,)], ids=["rank2", "batched"])
+def test_layer_primitive_gradient_free_slots_return_none(lead):
+    for name, fused, _, arrays in _layer_cases(lead, seed=30 + len(lead)):
+        k = len(arrays)
+        g = np.random.default_rng(7).normal(size=lead + (5, arrays[1].shape[-1]))
+
+        def vjp_of(free):
+            with recording() as tape:
+                fused(*[Tensor(a, requires_grad=i not in free) for i, a in enumerate(arrays)])
+            return tape.nodes[-1].vjp(g)
+
+        full = vjp_of(())
+        for free in [(0,), tuple(range(1, k)), (1,), (k - 1,), (0, 2), tuple(range(0, k, 2))]:
+            grads = vjp_of(free)
+            for i in range(k):
+                if i in free:
+                    assert grads[i] is None, (name, free, i)
+                else:
+                    assert grads[i].tobytes() == full[i].tobytes(), (name, free, i)
+        with recording() as tape:
+            out = fused(*[Tensor(a) for a in arrays])
+        assert len(tape) == 0 and not out.requires_grad
+
+
+def test_layer_primitive_shape_errors():
+    x = Tensor(np.ones((5, 8)))
+    with pytest.raises(ShapeError):
+        linear(x, Tensor(np.ones((6, 4))), Tensor(np.ones(4)))
+    with pytest.raises(ShapeError):
+        linear(x, Tensor(np.ones((8, 4))), Tensor(np.ones(8)))
+    with pytest.raises(ShapeError):
+        ln_affine(x, Tensor(np.ones(8)), Tensor(np.ones(5)))
+    square, bias = Tensor(np.eye(8)), Tensor(np.zeros(8))
+    with pytest.raises(ShapeError):
+        attention(x, *[square, bias] * 4, heads=3)
+    with pytest.raises(ShapeError):
+        attention(x, Tensor(np.ones((8, 4))), *[bias] + [square, bias] * 3, heads=2)
+    assert attention(x, *[square, bias] * 4, heads=4).shape == (5, 8)
+
+
+def test_binary_primitives_skip_gradient_free_slots():
+    rng = np.random.default_rng(8)
+    a, b = rng.normal(size=(3, 4)), rng.normal(size=(4, 4))
+    for op, other in ((matmul, b), (add, a[0]), (mul, a)):
+        for free in (0, 1):
+            ta = Tensor(a, requires_grad=free != 0)
+            tb = Tensor(other, requires_grad=free != 1)
+            with recording() as tape:
+                op(ta, tb)
+            grads = tape.nodes[-1].vjp(rng.normal(size=(3, 4)))
+            assert grads[free] is None and grads[1 - free] is not None, (op.__name__, free)
+
+
+def test_grad_linear():
+    rng = np.random.default_rng(40)
+    weight = Tensor(rng.normal(size=(2, 3, 5)))
+    arrays = {"x": rng.normal(size=(2, 3, 4)), "w": rng.normal(size=(4, 5)),
+              "b": rng.normal(size=(5,))}
+    for wrt in arrays:
+        ana, num = _grad_of(lambda t: mean(mul(linear(t["x"], t["w"], t["b"]), weight)),
+                            arrays, wrt)
+        assert rel_err(ana, num) <= 1e-6, wrt
+
+
+def test_grad_ln_affine():
+    rng = np.random.default_rng(41)
+    weight = Tensor(rng.normal(size=(2, 3, 6)))
+    arrays = {"x": rng.normal(size=(2, 3, 6)) * 2.0, "g": rng.normal(size=(6,)),
+              "b": rng.normal(size=(6,))}
+    for wrt in arrays:
+        ana, num = _grad_of(lambda t: mean(mul(ln_affine(t["x"], t["g"], t["b"]), weight)),
+                            arrays, wrt)
+        assert rel_err(ana, num) <= 1e-6, wrt
+
+
+def test_grad_attention():
+    rng = np.random.default_rng(42)
+    weight = Tensor(rng.normal(size=(2, 3, 4)))
+    arrays = {"x": rng.normal(size=(2, 3, 4))}
+    for name in ATTN_NAMES[1:]:
+        shape = (4, 4) if name.startswith("w") else (4,)
+        arrays[name] = rng.normal(size=shape)
+
+    def build(t):
+        return mean(mul(attention(*(t[n] for n in ATTN_NAMES), heads=2), weight))
+
+    for wrt in ATTN_NAMES:
+        ana, num = _grad_of(build, arrays, wrt)
+        if wrt == "bk":   # softmax ignores a shift shared by a row: the gradient is zero
+            assert np.abs(ana).max() <= 1e-12 and np.abs(num).max() <= 1e-9
+        else:
+            assert rel_err(ana, num) <= 1e-6, wrt
+
+
+def _raises_nonfinite(op, arrays) -> bool:
+    try:
+        op(*[Tensor(a) for a in arrays])
+    except NonFiniteError:
+        return True
+    return False
+
+
+def test_layer_primitives_raise_where_composed_path_raises():
+    # Each case overflows one intermediate of the composed path, or none.
+    rng = np.random.default_rng(50)
+    x = rng.normal(size=(5, 8))
+    cases = {
+        "linear": [[x, np.ones((8, 6)), np.zeros(6)],
+                   [x * 1e300, np.full((8, 6), 1e10), np.zeros(6)],     # product
+                   [np.abs(x), np.full((8, 6), 1e307), np.full(6, 1.7e308)]],  # sum
+        "ln_affine": [[x, np.ones(8), np.zeros(8)],
+                      [x, np.full(8, 1.7e308), np.zeros(8)],           # scaled
+                      [x, np.full(8, 1e307), np.full(8, 1.79e308)]],     # shifted
+    }
+    fused = {"linear": linear, "ln_affine": ln_affine,
+             "attention": lambda *t: attention(*t, heads=2)}
+    composed = {"linear": composed_linear, "ln_affine": composed_ln_affine,
+                "attention": lambda *t: composed_attention(*t, heads=2)}
+    att = [np.abs(x) + 1.0] + [np.eye(8) if i % 2 == 0 else np.zeros(8) for i in range(8)]
+    huge, large, top = np.full((8, 8), 1e308), np.full((8, 8), 1e306), np.full(8, 1.79e308)
+    spike = att[0].copy()
+    spike[0] = 1e160   # its own score is -inf, which softmax alone would turn into 0
+    cases["attention"] = [att]
+    for change in ({1: huge}, {1: large, 2: top}, {3: huge}, {5: huge},   # projections
+                   {1: np.full((8, 8), 1e160), 3: np.full((8, 8), 1e160)},  # scores
+                   {0: spike, 3: -np.eye(8)},                               # a -inf score
+                   {7: huge}, {7: large, 8: top}):                           # output
+        cases["attention"].append([change.get(i, a) for i, a in enumerate(att)])
+    for name, arrays_list in cases.items():
+        verdicts = [_raises_nonfinite(composed[name], arrays) for arrays in arrays_list]
+        assert verdicts[0] is False and all(verdicts[1:]), (name, verdicts)
+        for arrays, want in zip(arrays_list, verdicts):
+            assert _raises_nonfinite(fused[name], arrays) == want, name
+
+
+# ---------------------------------------------------------------------------
 # optimizer
 # ---------------------------------------------------------------------------
 
@@ -456,3 +682,39 @@ def test_adam_moments_shared_across_filters():
     store["enc.w"].grad = np.array([1.0])
     opt.step(store, {"adapter", "backbone"}, lr=0.1)
     assert opt._t["ada.w"] == 2 and opt._t["enc.w"] == 1
+
+
+def test_in_place_adam_matches_reference_expression_bitwise():
+    rng = np.random.default_rng(60)
+    values = [("enc.w", "backbone", rng.normal(size=(4, 3))),
+              ("ada.w", "adapter", rng.normal(size=(3, 2))),
+              ("seg.b", "seg_head", rng.normal(size=(5,)))]
+    store = _store_with(values)
+    ref = {n: [v.copy(), np.zeros_like(v), np.zeros_like(v), 0] for n, _, v in values}
+    opt = Optimizer("adam")
+    lr = 3e-3
+    for step, groups in enumerate([{"backbone", "adapter", "seg_head"}, {"adapter"},
+                                   {"backbone", "seg_head"}, {"adapter"},
+                                   {"backbone", "adapter", "seg_head"}]):
+        for name, group, _ in values:
+            g = rng.normal(size=store[name].shape) * 10.0 ** (step - 2)
+            store[name].grad = g
+            if group not in groups:
+                continue
+            p, m, v, t = ref[name]
+            t += 1
+            m *= ADAM_BETA1
+            m += (1.0 - ADAM_BETA1) * g
+            v *= ADAM_BETA2
+            v += (1.0 - ADAM_BETA2) * (g * g)
+            mhat = m / (1.0 - ADAM_BETA1 ** t)
+            vhat = v / (1.0 - ADAM_BETA2 ** t)
+            p -= lr * mhat / (np.sqrt(vhat) + ADAM_EPS)
+            ref[name][3] = t
+        opt.step(store, groups, lr)
+        for name, (p, m, v, t) in ref.items():
+            assert store[name].data.tobytes() == p.tobytes(), (step, name)
+            if t:
+                assert opt._m[name].tobytes() == m.tobytes(), (step, name)
+                assert opt._v[name].tobytes() == v.tobytes(), (step, name)
+                assert opt._t[name] == t

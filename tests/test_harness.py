@@ -106,6 +106,10 @@ def test_config_semantic_validation():
         parse_config_text("domains = fog,fgo")
     with pytest.raises(ValueError, match="domains"):
         RunConfig(domains=())
+    with pytest.raises(ValueError, match="repeat"):
+        RunConfig(domains=("fog", "fog"))
+    with pytest.raises(ValueError, match="repeat"):
+        parse_config_text("domains = fog,rain,fog")
     with pytest.raises(ValueError, match="palette"):
         RunConfig(num_classes=9)
     with pytest.raises(ValueError, match="severity"):
