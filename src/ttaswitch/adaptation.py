@@ -25,6 +25,8 @@ The teacher-student loss also feeds a running threshold tau, an EMA of past
 losses starting at zero. It is reported per instance, and an injected
 `decision_fn(loss, tau)` (for example `decide_shift`, which picks full
 tuning iff the loss is strictly above tau) replaces the input detector.
+A `fixed_decision` (FT or ET) replaces it with a constant, as the ft-only
+and et-only baselines need.
 
 Per-instance step order (fixed; tests rely on it):
 
@@ -33,11 +35,11 @@ Per-instance step order (fixed; tests rely on it):
     -> backward + optimizer step
     -> threshold and detector update -> teacher EMA update + counters
 
-With the input detector the decision comes before the student forward.
-An ET step then records that forward over a store in which every
-parameter outside ET_GROUPS is a gradient-free alias of the student's
-array, so the tape holds only what depends on the adapters and backward
-computes no gradient the optimizer would discard. An injected
+With the input detector or a fixed decision, the decision comes before
+the student forward. An ET step then records that forward over a store in
+which every parameter outside ET_GROUPS is a gradient-free alias of the
+student's array, so the tape holds only what depends on the adapters and
+backward computes no gradient the optimizer would discard. An injected
 `decision_fn` needs the student's loss, so it decides after the forward,
 and the whole forward is recorded.
 
@@ -174,18 +176,25 @@ class AdaptationEngine:
     The student store must contain every group (it is the source checkpoint);
     the teacher is a deep copy of the backbone, adapter, and segmentation-head
     entries only. By default the tuning mode comes from `detect_shift` on the
-    input sequence. `decision_fn(loss_seg, tau) -> bool` may be injected to
-    replace it: constant True/False gives ft-only/et-only behaviour, and
-    `decide_shift` gives the loss-threshold rule. The detector state
-    (`shift_state`) and tau are tracked either way.
+    input sequence. `fixed_decision` (FT or ET) replaces it with a constant,
+    the ft-only/et-only behaviour. `decision_fn(loss_seg, tau) -> bool` may
+    be injected instead to decide from the loss: `decide_shift` gives the
+    loss-threshold rule. The detector state (`shift_state`) and tau are
+    tracked either way.
     """
 
     def __init__(self, params: ParamStore, config: m.ModelConfig, *, lr: float = 1e-4,
                  alpha: float = 0.999, alpha_l: float = 0.9,
-                 optimizer_kind: str = "adam", decision_fn=None, mask_seed: int = 0,
+                 optimizer_kind: str = "adam", decision_fn=None,
+                 fixed_decision: str | None = None, mask_seed: int = 0,
                  clock=time.perf_counter):
         if not 0.0 <= alpha <= 1.0 or not 0.0 <= alpha_l <= 1.0:
             raise ValueError("alpha and alpha_l must lie in [0, 1]")
+        if fixed_decision not in (None, FT, ET):
+            raise ValueError(f"fixed_decision must be {FT!r}, {ET!r} or None, "
+                             f"got {fixed_decision!r}")
+        if fixed_decision is not None and decision_fn is not None:
+            raise ValueError("give decision_fn or fixed_decision, not both")
         self.student = params
         self.config = config
         self.lr = float(lr)
@@ -193,6 +202,7 @@ class AdaptationEngine:
         self.alpha_l = float(alpha_l)
         self.ft_groups = tuple(params.groups_present())
         self.decision_fn = decision_fn
+        self.fixed_decision = fixed_decision
         self.mask_seed = int(mask_seed)
         self.clock = clock
         self.optimizer = Optimizer(optimizer_kind)
@@ -229,6 +239,8 @@ class AdaptationEngine:
             patch_mask = m.draw_mask(cfg.num_patches, cfg.mask_ratio,
                                      self.mask_seed, t_index)
             use_ft, shift_state = detect_shift(self.shift_state, image, self.alpha_l)
+            if self.fixed_decision is not None:
+                use_ft = self.fixed_decision == FT
             student = self.student
             if self.decision_fn is None and not use_ft:
                 student = student.frozen_except(ET_GROUPS)

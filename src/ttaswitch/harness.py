@@ -181,7 +181,7 @@ def _write_csv(path: Path, columns, rows) -> None:
 
 
 # fixed tuning decisions of the baseline modes; hybrid uses the engine's detector
-_DECISION_FNS = {"ft-only": lambda loss, tau: True, "et-only": lambda loss, tau: False}
+_FIXED_DECISIONS = {"ft-only": FT, "et-only": ET}
 
 
 def _load_matching(cfg: RunConfig, checkpoint_path):
@@ -213,7 +213,7 @@ def run_experiment(cfg: RunConfig, checkpoint_path, out_dir=None,
 
     engine = init_adaptation(params, expected, lr=cfg.lr_tta, alpha=cfg.alpha,
                              alpha_l=cfg.alpha_l, optimizer_kind=cfg.optimizer,
-                             decision_fn=_DECISION_FNS.get(cfg.mode),
+                             fixed_decision=_FIXED_DECISIONS.get(cfg.mode),
                              mask_seed=cfg.seed, clock=clock)
     stream = build_stream(expected, cfg.domains, cfg.per_domain, cfg.rounds,
                           cfg.seed, cfg.severity)

@@ -168,7 +168,7 @@ def test_repeat_instance_goes_et_at_alpha_l_zero(trained):
 
 
 def test_et_step_touches_only_adapters(trained):
-    engine = fresh_engine(trained, decision_fn=lambda loss, tau: False)
+    engine = fresh_engine(trained, fixed_decision=ET)
     student = engine.student
     frozen = [n for n in student.names() if student.group_of(n) != "adapter"]
     before = student.snapshot_bytes(frozen)
@@ -181,7 +181,7 @@ def test_et_step_touches_only_adapters(trained):
 
 
 def test_ft_step_updates_every_group(trained):
-    engine = fresh_engine(trained, decision_fn=lambda loss, tau: True)
+    engine = fresh_engine(trained, fixed_decision=FT)
     student = engine.student
     before = {g: student.snapshot_bytes(student.group_names(g))
               for g in student.groups_present()}
@@ -326,10 +326,7 @@ def test_pruned_et_tape_matches_the_full_tape(trained, monkeypatch):
     for i, inst in enumerate(stream):
         got = pruned.step(inst.image, i, inst.domain)
         want = full.step(inst.image, i, inst.domain)
-        for f in fields(StepReport):
-            a, b = getattr(got, f.name), getattr(want, f.name)
-            assert (a.tobytes() == b.tobytes() if isinstance(a, np.ndarray) else a == b), \
-                (i, f.name)
+        assert_same_report(got, want, i)
         (pruned_nodes, full_nodes), (pruned_grads, full_grads) = nodes[-2:], with_grad[-2:]
         assert full_grads == set(full.student.names())
         if got.decision == ET:
@@ -337,13 +334,59 @@ def test_pruned_et_tape_matches_the_full_tape(trained, monkeypatch):
             assert pruned_nodes < full_nodes == nodes[0], i   # nodes[0]: step 0, FT
         else:
             assert pruned_grads == full_grads and pruned_nodes == full_nodes, i
+    assert_same_state(pruned, full)
+
+
+@pytest.mark.parametrize("fixed, constant", [(ET, False), (FT, True)])
+def test_fixed_decision_matches_constant_decision_fn(trained, monkeypatch, fixed, constant):
+    # The et-only and ft-only baselines: a decision fixed before the student
+    # forward gives what the constant decision_fn gives, byte for byte, and a
+    # fixed ET records only what depends on the adapters.
+    engine = fresh_engine(trained, clock=make_fake_clock(), fixed_decision=fixed)
+    reference = fresh_engine(trained, clock=make_fake_clock(),
+                             decision_fn=lambda loss, tau: constant)
+    nodes = []
+    backward = adaptation.ad.backward
+
+    def counting_backward(loss):
+        nodes.append(len(loss.tape))
+        backward(loss)
+
+    monkeypatch.setattr(adaptation.ad, "backward", counting_backward)
+    for i, inst in enumerate(instances(6)):
+        got = engine.step(inst.image, i, inst.domain)
+        assert got.decision == fixed
+        assert_same_report(got, reference.step(inst.image, i, inst.domain), i)
+        fixed_nodes, reference_nodes = nodes[-2:]
+        assert (fixed_nodes < reference_nodes if fixed == ET
+                else fixed_nodes == reference_nodes), i
+    assert_same_state(engine, reference)
+    assert engine.shift_state.mean.tobytes() == reference.shift_state.mean.tobytes()
+
+
+def test_fixed_decision_validation(trained):
+    with pytest.raises(ValueError, match="fixed_decision"):
+        fresh_engine(trained, fixed_decision=SKIP)
+    with pytest.raises(ValueError, match="not both"):
+        fresh_engine(trained, fixed_decision=ET, decision_fn=decide_shift)
+
+
+def assert_same_report(got: StepReport, want: StepReport, i: int) -> None:
+    for f in fields(StepReport):
+        a, b = getattr(got, f.name), getattr(want, f.name)
+        assert (a.tobytes() == b.tobytes() if isinstance(a, np.ndarray) else a == b), \
+            (i, f.name)
+
+
+def assert_same_state(engine, other) -> None:
+    """Student, teacher and Adam state are byte-identical."""
     for store in ("student", "teacher"):
-        assert getattr(pruned, store).snapshot_bytes() == getattr(full, store).snapshot_bytes()
+        assert getattr(engine, store).snapshot_bytes() == getattr(other, store).snapshot_bytes()
     for moments in ("_m", "_v"):
-        a, b = getattr(pruned.optimizer, moments), getattr(full.optimizer, moments)
+        a, b = getattr(engine.optimizer, moments), getattr(other.optimizer, moments)
         assert a.keys() == b.keys()
         assert all(a[n].tobytes() == b[n].tobytes() for n in a), moments
-    assert pruned.optimizer._t == full.optimizer._t
+    assert engine.optimizer._t == other.optimizer._t
 
 
 def test_full_run_is_reproducible(trained):
