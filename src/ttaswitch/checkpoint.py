@@ -6,7 +6,8 @@ Layout (all integers little-endian):
     version  u32
     hdr_len  u32, then hdr_len bytes of canonical JSON:
              {"config": {...}, "entries": [[name, shape, group], ...]},
-             where "config" holds every `ModelConfig` field
+             where "config" holds every `ModelConfig` field and no
+             other, so a `RunConfig` saves as its `model_config()`
     payload  for each entry in header order, its values as little-endian
              float64 in C order
     crc      u32 CRC32 of every preceding byte
@@ -47,7 +48,7 @@ def save_checkpoint(path, params: ParamStore, config: ModelConfig) -> Path:
     path = Path(path)
     entries = params.entries()
     _check(entries, config)
-    header = json.dumps({"config": asdict(config), "entries": entries},
+    header = json.dumps({"config": asdict(config.model_config()), "entries": entries},
                         sort_keys=True, separators=(",", ":")).encode("utf-8")
     body = b"".join([_PREFIX.pack(MAGIC, VERSION, len(header)), header]
                     + [np.ascontiguousarray(params[n].data, dtype="<f8") for n, _, _ in entries])

@@ -49,7 +49,7 @@ def main(argv=None) -> int:
     out = args.out if args.out is not None else Path(cfg.out_dir)
 
     if args.command == "train-source":
-        path = train_source(cfg.model_config(), cfg.source_scenes, cfg.source_epochs,
+        path = train_source(cfg, cfg.source_scenes, cfg.source_epochs,
                             cfg.batch_size, cfg.lr_source, cfg.seed, out,
                             optimizer_kind=cfg.optimizer, log_every=5)
         print(f"checkpoint written: {path}")

@@ -2,9 +2,14 @@
 
 A run is described by a flat ``key = value`` text file (``#`` starts a
 comment). Unknown and duplicate keys are rejected with their line number.
-A `RunConfig` checks itself whole when it is built, whether parsed,
-copied with ``replace`` or constructed directly, so an invalid run (an
-unknown domain name, say) is refused before anything is written. The
+`RunConfig` extends `ModelConfig`: the nine model fields, their defaults
+and their checks come first, then the run settings. A `RunConfig` checks
+itself whole when it is built, whether parsed, copied with ``replace`` or
+constructed directly. Besides the `ModelConfig` checks it refuses an
+unknown mode, optimizer or domain, repeated domains, counts out of range,
+a severity, alpha or alpha_l outside [0, 1], a learning rate that is not
+finite and positive, a negative seed and more classes than the scene
+palette, so an invalid run is refused before anything is written. The
 effective configuration is echoed into the output directory, followed by
 a per-instance CSV, a per-round summary CSV, and a one-line summary.
 
@@ -45,16 +50,9 @@ MODES_SUMMARY_COLUMNS = ("mode", "instances", "mean_miou", "ft", "et", "skip",
 
 
 @dataclass(frozen=True)
-class RunConfig:
-    image_size: int = 32
-    patch_size: int = 4
-    embed_dim: int = 64
-    depth: int = 4
-    heads: int = 4
-    num_classes: int = 5
-    adapter_dim: int = 45
-    adapter_scale: float = 0.1
-    mask_ratio: float = 0.6
+class RunConfig(ModelConfig):
+    """The model fields of `ModelConfig`, then the run settings, in file order."""
+
     alpha: float = 0.999
     alpha_l: float = 0.9
     lr_source: float = 1e-3
@@ -87,17 +85,17 @@ class RunConfig:
             raise ValueError("severity must lie in [0, 1]")
         if self.source_scenes < 1 or self.batch_size < 1 or self.source_epochs < 0:
             raise ValueError("source_scenes/batch_size must be >= 1, source_epochs >= 0")
-        if self.lr_source <= 0 or self.lr_tta <= 0:
-            raise ValueError("learning rates must be positive")
+        if not all(math.isfinite(lr) and lr > 0 for lr in (self.lr_source, self.lr_tta)):
+            raise ValueError(f"learning rates must be finite and positive, got "
+                             f"lr_source={self.lr_source}, lr_tta={self.lr_tta}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not 0.0 <= self.alpha <= 1.0 or not 0.0 <= self.alpha_l <= 1.0:
             raise ValueError("alpha and alpha_l must lie in [0, 1]")
         if self.num_classes > MAX_CLASSES:
             raise ValueError(f"num_classes {self.num_classes} exceeds the scene palette "
                              f"({MAX_CLASSES} classes)")
-        self.model_config()   # the model-side checks
-
-    def model_config(self) -> ModelConfig:
-        return ModelConfig(**{f.name: getattr(self, f.name) for f in fields(ModelConfig)})
+        super().__post_init__()
 
 
 def _parse_value(key: str, raw: str, kind: type, lineno: int):

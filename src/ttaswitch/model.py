@@ -23,7 +23,8 @@ passes one.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 from scipy import ndimage
@@ -80,8 +81,14 @@ class ModelConfig:
             raise ValueError("num_classes must be >= 2")
         if self.adapter_dim < 1:
             raise ValueError("adapter_dim must be >= 1 (adapters are always present)")
+        if not math.isfinite(self.adapter_scale):
+            raise ValueError(f"adapter_scale must be finite, got {self.adapter_scale}")
         if not 0.0 <= self.mask_ratio < 1.0:
             raise ValueError("mask_ratio must lie in [0, 1)")
+
+    def model_config(self) -> ModelConfig:
+        """The model fields alone, as a checkpoint records them; a subclass may hold more."""
+        return ModelConfig(**{f.name: getattr(self, f.name) for f in fields(ModelConfig)})
 
     @property
     def grid(self) -> int:
@@ -94,10 +101,6 @@ class ModelConfig:
     @property
     def patch_dim(self) -> int:
         return CHANNELS * self.patch_size * self.patch_size
-
-    @property
-    def head_dim(self) -> int:
-        return self.embed_dim // self.heads
 
     @property
     def mlp_dim(self) -> int:
@@ -204,8 +207,6 @@ class PatchMask:
     """Boolean per-patch mask; True marks a patch replaced by the mask token."""
 
     mask: np.ndarray
-    seed: int
-    step: int
     count: int = field(init=False)
 
     def __post_init__(self):
@@ -229,7 +230,7 @@ def draw_mask(num_patches: int, mask_ratio: float, seed: int, step: int) -> Patc
     chosen = rng.choice(num_patches, size=count, replace=False)
     m = np.zeros(num_patches, dtype=bool)
     m[chosen] = True
-    return PatchMask(mask=m, seed=int(seed), step=int(step))
+    return PatchMask(m)
 
 
 def _lead(shape, rank: int, what: str) -> tuple[int, ...]:

@@ -51,17 +51,9 @@ def source_step(batch: SourceBatch, params: ParamStore, config: m.ModelConfig,
     n_img = len(batch.images)
     if n_img == 0:
         raise ValueError("source_step: empty batch")
-    try:
-        return _source_step_inner(batch, params, config, optimizer, lr, mask_seed, step)
-    except ad.NonFiniteError as e:
-        raise ad.NonFiniteError(f"non-finite loss at source step {step}: {e}") from e
-
-
-def _source_step_inner(batch, params, config, optimizer, lr, mask_seed, step):
-    n_img = len(batch.images)
     stacked = m.PatchMask(np.stack([
         m.draw_mask(config.num_patches, config.mask_ratio, mask_seed, step * n_img + i).mask
-        for i in range(n_img)]), seed=mask_seed, step=step * n_img)
+        for i in range(n_img)]))
     tape = ad.Tape()
     try:
         with ad.recording(tape):
@@ -70,6 +62,8 @@ def _source_step_inner(batch, params, config, optimizer, lr, mask_seed, step):
                                                     params, config)
             loss_total = ad.add(loss_seg, loss_rec)
             ad.backward(loss_total)
+    except ad.NonFiniteError as e:
+        raise ad.NonFiniteError(f"non-finite loss at source step {step}: {e}") from e
     finally:
         tape.nodes.clear()   # break the tape -> node -> tensor -> tape cycle now
     optimizer.step(params, group_filter=params.groups_present(), lr=lr)

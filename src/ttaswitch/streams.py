@@ -43,7 +43,6 @@ class Scene:
     image: np.ndarray        # [3, h, w] float64 in [0, 1]
     class_map: np.ndarray    # [h, w] int64 dense labels
     labels: np.ndarray       # [num_patches] int64 per-patch majority labels
-    seed: int
     layout: tuple            # ((class, shape, cy, cx, radius), ...)
 
 
@@ -95,8 +94,7 @@ def generate_scene(seed: int, config: ModelConfig) -> Scene:
 
     image = np.clip(image, 0.0, 1.0)
     labels = majority_patch_labels(class_map, config.patch_size, config.num_classes)
-    return Scene(image=image, class_map=class_map, labels=labels, seed=int(seed),
-                 layout=tuple(layout))
+    return Scene(image=image, class_map=class_map, labels=labels, layout=tuple(layout))
 
 
 def majority_patch_labels(class_map: np.ndarray, patch_size: int, num_classes: int) -> np.ndarray:

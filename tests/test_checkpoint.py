@@ -8,6 +8,7 @@ import pytest
 
 from helpers import write_raw_checkpoint, write_unchecked_checkpoint
 from ttaswitch.checkpoint import MAGIC, load_checkpoint, save_checkpoint
+from ttaswitch.harness import RunConfig
 from ttaswitch.model import ModelConfig, init_params
 
 TINY = ModelConfig(image_size=8, patch_size=4, embed_dim=16, depth=2, heads=2,
@@ -40,6 +41,14 @@ def test_save_load_save_is_byte_identical(saved, tmp_path):
     loaded, config = load_checkpoint(path)
     path2 = save_checkpoint(tmp_path / "ck2.htta", loaded, config)
     assert path.read_bytes() == path2.read_bytes()
+
+
+def test_run_config_saves_as_its_model_config(saved, tmp_path):
+    path, params = saved
+    run_cfg = RunConfig(**asdict(TINY), lr_tta=3e-4, mode="et-only")
+    got = save_checkpoint(tmp_path / "run.htta", params, run_cfg)
+    assert got.read_bytes() == path.read_bytes()
+    assert load_checkpoint(got)[1] == run_cfg.model_config() == TINY
 
 
 def test_single_flipped_byte_fails_integrity(saved):

@@ -94,6 +94,15 @@ def test_missing_checkpoint_fails(workdir):
               str(root / "nope.htta"), "--out", str(root / "x")])
 
 
+def test_negative_seed_refused_before_writing(workdir):
+    root, cfg = workdir
+    with pytest.raises(ValueError, match="seed"):
+        main(["adapt", "--config", str(cfg), "--checkpoint",
+              str(root / "src" / "source.htta"), "--seed", "-1",
+              "--out", str(root / "negative")])
+    assert not (root / "negative").exists()
+
+
 def test_required_flags():
     with pytest.raises(SystemExit):
         main(["adapt", "--out", "/tmp/x"])      # --config missing

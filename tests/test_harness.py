@@ -114,6 +114,12 @@ def test_config_semantic_validation():
         RunConfig(num_classes=9)
     with pytest.raises(ValueError, match="severity"):
         replace(RunConfig(), severity=2.0)
+    with pytest.raises(ValueError, match="seed"):
+        RunConfig(seed=-1)
+    with pytest.raises(ValueError, match="learning rates"):
+        RunConfig(lr_tta=math.inf)
+    with pytest.raises(ValueError, match="learning rates"):
+        parse_config_text("lr_source = nan")
     assert RunConfig(num_classes=8).model_config().num_classes == 8
 
 

@@ -55,6 +55,8 @@ def test_config_validation():
         ModelConfig(mask_ratio=1.5)
     with pytest.raises(ValueError):
         ModelConfig(num_classes=1)
+    with pytest.raises(ValueError, match="adapter_scale"):
+        ModelConfig(adapter_scale=float("nan"))
 
 
 def test_default_adapter_budget_in_band():
@@ -170,7 +172,7 @@ def test_batch_axis_masks_each_image_as_alone():
     store = init_params(cfg, seed=2)
     xs = np.stack([_image(cfg, seed=s) for s in (5, 6, 7)])
     pms = [draw_mask(cfg.num_patches, 0.5, seed=1, step=s) for s in range(3)]
-    stacked = PatchMask(np.stack([pm.mask for pm in pms]), seed=1, step=0)
+    stacked = PatchMask(np.stack([pm.mask for pm in pms]))
     out = apply_mask(xs, stacked, store["mask_token"], cfg)
     pix = pixel_mask(stacked, cfg)
     tokens = patchify(Tensor(xs), cfg.patch_size)
@@ -210,7 +212,7 @@ def test_masked_losses_batch_matches_per_image_mean():
             ref_grads[n] += store[n].grad / 3
         store.zero_grad()
 
-    stacked = PatchMask(np.stack([pm.mask for pm in masks]), seed=4, step=0)
+    stacked = PatchMask(np.stack([pm.mask for pm in masks]))
     with recording():
         seg, rec, logits = masked_losses(images, labels, stacked, store, cfg)
         backward(add(seg, rec))
