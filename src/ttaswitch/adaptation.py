@@ -46,7 +46,9 @@ and the whole forward is recorded.
 A non-finite loss anywhere in the step quarantines the instance: no
 parameter, optimizer, threshold, detector, or teacher state changes, the
 decision is recorded as "SKIP", and the adapted-step counter does not
-advance.
+advance. Its report gives the unchanged tau as tau_before and tau_after
+and leaves loss_seg and loss_rec at their default NaN and teacher_labels
+at None.
 """
 from __future__ import annotations
 
@@ -161,13 +163,12 @@ class StepReport:
     t: int                      # caller-supplied stream position
     domain: str
     decision: str               # FT | ET | SKIP
-    loss_seg: float             # nan when quarantined
-    loss_rec: float
-    tau_before: float
-    tau_after: float
     wall_ms: float
-    teacher_labels: np.ndarray | None   # hard pseudo-labels [num_patches]
-    student_labels: np.ndarray | None   # student argmax on the masked input
+    loss_seg: float = math.nan
+    loss_rec: float = math.nan
+    tau_before: float = math.nan
+    tau_after: float = math.nan
+    teacher_labels: np.ndarray | None = None   # hard pseudo-labels [num_patches]
 
 
 class AdaptationEngine:
@@ -248,7 +249,7 @@ class AdaptationEngine:
             try:
                 with ad.recording(tape):
                     self.forward_count += 1
-                    loss_seg, loss_rec, logits = m.masked_losses(
+                    loss_seg, loss_rec, _ = m.masked_losses(
                         image, labels, patch_mask, student, cfg)
                     loss_total = ad.add(loss_seg, loss_rec)
                     if self.decision_fn is not None:
@@ -262,11 +263,8 @@ class AdaptationEngine:
             self.student.zero_grad()
             self.skipped += 1
             wall_ms = (self.clock() - start) * 1000.0
-            return StepReport(t=t_index, domain=domain, decision=SKIP,
-                              loss_seg=float("nan"), loss_rec=float("nan"),
-                              tau_before=self.tau, tau_after=self.tau,
-                              wall_ms=wall_ms, teacher_labels=None,
-                              student_labels=None)
+            return StepReport(t=t_index, domain=domain, decision=SKIP, wall_ms=wall_ms,
+                              tau_before=self.tau, tau_after=self.tau)
         tau_before = self.tau
         self.tau = update_threshold(tau_before, float(loss_seg.data), self.alpha_l)
         self.shift_state = shift_state
@@ -277,10 +275,9 @@ class AdaptationEngine:
             self.et_count += 1
         wall_ms = (self.clock() - start) * 1000.0
         return StepReport(t=t_index, domain=domain, decision=FT if use_ft else ET,
-                          loss_seg=float(loss_seg.data), loss_rec=float(loss_rec.data),
-                          tau_before=tau_before, tau_after=self.tau, wall_ms=wall_ms,
-                          teacher_labels=labels,
-                          student_labels=np.argmax(logits.data, axis=-1))
+                          wall_ms=wall_ms, loss_seg=float(loss_seg.data),
+                          loss_rec=float(loss_rec.data), tau_before=tau_before,
+                          tau_after=self.tau, teacher_labels=labels)
 
 
 def init_adaptation(params: ParamStore, config: m.ModelConfig,

@@ -41,6 +41,7 @@ import ctypes
 import math
 import platform
 from contextlib import contextmanager
+from itertools import dropwhile
 from typing import Callable, Sequence
 
 import numpy as np
@@ -177,28 +178,15 @@ def _emit(op: str, inputs: tuple[Tensor, ...], out_data: np.ndarray, vjp: Callab
 
 
 def _leading_bcast_shape(sa: tuple[int, ...], sb: tuple[int, ...], op: str) -> tuple[int, ...]:
-    """Output shape for leading-axes-only broadcasting, or ShapeError."""
-    n = max(len(sa), len(sb))
-    a = (1,) * (n - len(sa)) + tuple(sa)
-    b = (1,) * (n - len(sb)) + tuple(sb)
-    out = []
-    a_started = b_started = False
-    for da, db in zip(a, b):
-        if da != db:
-            if da == 1:
-                if a_started:
-                    raise ShapeError(f"{op}: inner-axis broadcast of {sa} against {sb}")
-            elif db == 1:
-                if b_started:
-                    raise ShapeError(f"{op}: inner-axis broadcast of {sb} against {sa}")
-            else:
-                raise ShapeError(f"{op}: incompatible shapes {sa} and {sb}")
-        if da > 1:
-            a_started = True
-        if db > 1:
-            b_started = True
-        out.append(max(da, db))
-    return tuple(out)
+    """Output shape for leading-axes-only broadcasting, or ShapeError.
+
+    Strip each shape's leading 1s; the shorter must end the longer.
+    """
+    ta, tb = (tuple(dropwhile(lambda d: d == 1, s)) for s in (sa, sb))
+    short, long = sorted((ta, tb), key=len)
+    if long[len(long) - len(short):] != short:
+        raise ShapeError(f"{op}: cannot broadcast {sa} against {sb} on leading axes only")
+    return (1,) * (max(len(sa), len(sb)) - len(long)) + long
 
 
 def _unbcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -221,8 +209,8 @@ def _unbcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 def matmul(a, b) -> Tensor:
     """Matrix product over the last two axes; batch axes broadcast (leading only).
 
-    A stacked `a` against a 2-D `b` runs as one GEMM over all rows of `a`,
-    in the forward and in both VJPs, so the gradient of `b` is one
+    Against a 2-D `b` every row of `a` goes through one GEMM (`_rows`), in
+    the forward and in both VJPs, so the gradient of `b` is one
     `a2.T @ g2` instead of a stack of products that is then summed.
     """
     a, b = as_tensor(a), as_tensor(b)
@@ -232,15 +220,12 @@ def matmul(a, b) -> Tensor:
     if da.shape[-1] != db.shape[-2]:
         raise ShapeError(f"matmul: contraction mismatch {da.shape} @ {db.shape}")
     need_a, need_b = a.requires_grad, b.requires_grad
-    if da.ndim > 2 and db.ndim == 2:
-        a2 = da.reshape(-1, da.shape[-1])   # a view: tensor data is C-contiguous
+    if db.ndim == 2:
+        a2, out = _rows(da, db)
 
         def vjp_rows(g):
-            g2 = g.reshape(-1, g.shape[-1])
-            return ((g2 @ db.T).reshape(da.shape) if need_a else None,
-                    a2.T @ g2 if need_b else None)
+            return _rows_vjp(g, da, a2, db, need_a, need_b)
 
-        out = (a2 @ db).reshape(da.shape[:-1] + (db.shape[-1],))
         return _emit("matmul", (a, b), out, vjp_rows)
     _leading_bcast_shape(da.shape[:-2], db.shape[:-2], "matmul")
     out = da @ db
@@ -251,6 +236,22 @@ def matmul(a, b) -> Tensor:
         return ga, gb
 
     return _emit("matmul", (a, b), out, vjp)
+
+
+def _rows(x: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(x2, x @ w) for a 2-D w: x2 is x with its leading axes folded into rows.
+
+    x2 is a view (tensor data is C-contiguous), so the product is one GEMM.
+    """
+    x2 = x.reshape(-1, x.shape[-1])
+    return x2, (x2 @ w).reshape(x.shape[:-1] + (w.shape[1],))
+
+
+def _rows_vjp(g, x, x2, w, need_x: bool, need_w: bool):
+    """(gx, gw) of `_rows`: one GEMM each, skipped when not needed."""
+    g2 = g.reshape(-1, g.shape[-1])
+    return ((g2 @ w.T).reshape(x.shape) if need_x else None,
+            x2.T @ g2 if need_w else None)
 
 
 def add(a, b) -> Tensor:
@@ -406,28 +407,18 @@ def mean(a, axis: int | None = None) -> Tensor:
     """Mean over all elements (axis=None) or one axis."""
     a = as_tensor(a)
     x = a.data
-    if axis is None:
-        n = x.size
-        if n == 0:
-            raise ShapeError("mean: empty tensor")
-        out = x.mean()
-
-        def vjp(g):
-            return (np.full(x.shape, float(g) / n),)
-
-        return _emit("mean", (a,), np.asarray(out), vjp)
-
-    ax = int(axis)
-    if not -x.ndim <= ax < x.ndim:
+    if axis is not None and not -x.ndim <= int(axis) < x.ndim:
         raise ShapeError(f"mean: axis {axis} out of range for shape {x.shape}")
-    ax = ax % x.ndim
-    n = x.shape[ax]
-    out = x.mean(axis=ax)
+    ax = None if axis is None else int(axis) % x.ndim
+    n = x.size if ax is None else x.shape[ax]
+    if n == 0:
+        raise ShapeError(f"mean: nothing to average in {x.shape}")
+    keep = tuple(1 if ax in (None, i) else d for i, d in enumerate(x.shape))
 
     def vjp(g):
-        return (np.repeat(np.expand_dims(g / n, ax), n, axis=ax),)
+        return (np.broadcast_to(np.reshape(g / n, keep), x.shape).copy(),)
 
-    return _emit("mean", (a,), out, vjp)
+    return _emit("mean", (a,), x.mean(axis=ax), vjp)
 
 
 # ---------------------------------------------------------------------------
@@ -435,27 +426,15 @@ def mean(a, axis: int | None = None) -> Tensor:
 # ---------------------------------------------------------------------------
 
 def _affine(x: np.ndarray, w: np.ndarray, b: np.ndarray, op: str):
-    """(x2, x @ w + b) computed as `matmul` then `add`; the product is checked.
-
-    x2 is x with its leading axes folded into rows (x itself at rank 2).
-    """
-    x2 = x.reshape(-1, x.shape[-1]) if x.ndim > 2 else x
-    prod = x2 @ w
-    if x.ndim > 2:
-        prod = prod.reshape(x.shape[:-1] + (w.shape[1],))
+    """(x2, x @ w + b) computed as `matmul` then `add`; the product is checked."""
+    x2, prod = _rows(x, w)
     return x2, _check(op, prod) + b
 
 
 def _affine_vjp(g, x, x2, w, need_x: bool, need_w: bool, need_b: bool):
     """(gx, gw, gb) of `_affine` as the `add` and `matmul` VJPs compute them."""
     gb = g.sum(axis=tuple(range(g.ndim - 1))) if need_b else None
-    g2 = g.reshape(-1, g.shape[-1]) if g.ndim > 2 else g
-    gx = None
-    if need_x:
-        gx = g2 @ w.T
-        if g.ndim > 2:
-            gx = gx.reshape(x.shape)
-    return gx, x2.T @ g2 if need_w else None, gb
+    return _rows_vjp(g, x, x2, w, need_x, need_w) + (gb,)
 
 
 def _check_affine(op: str, x: np.ndarray, w: np.ndarray, b: np.ndarray) -> None:

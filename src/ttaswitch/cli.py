@@ -42,10 +42,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    cfg = load_config(args.config)
-    if args.seed is not None:
-        cfg = replace(cfg, seed=args.seed)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    try:   # a refused config is a command-line error: reported, nothing written
+        cfg = load_config(args.config)
+        if args.seed is not None:
+            cfg = replace(cfg, seed=args.seed)
+    except (ValueError, FileNotFoundError) as e:
+        parser.error(str(e))
     out = args.out if args.out is not None else Path(cfg.out_dir)
 
     if args.command == "train-source":

@@ -9,9 +9,12 @@ constructed directly. Besides the `ModelConfig` checks it refuses an
 unknown mode, optimizer or domain, repeated domains, counts out of range,
 a severity, alpha or alpha_l outside [0, 1], a learning rate that is not
 finite and positive, a negative seed and more classes than the scene
-palette, so an invalid run is refused before anything is written. The
-effective configuration is echoed into the output directory, followed by
-a per-instance CSV, a per-round summary CSV, and a one-line summary.
+palette, so an invalid run is refused before anything is written. So is
+a checkpoint that does not fit the config, one without adapters
+included: `run_experiment` builds its engine, which checks the layout,
+before it creates the output directory. The effective configuration is
+echoed into the output directory, followed by a per-instance CSV, a
+per-round summary CSV, and a one-line summary.
 
 Floats in CSVs are written with ``repr``, so equal runs produce
 byte-identical files. Wall-clock columns stay reproducible because every
@@ -205,17 +208,15 @@ def run_experiment(cfg: RunConfig, checkpoint_path, out_dir=None,
     image, computed before that instance's update.
     """
     params, expected = _load_matching(cfg, checkpoint_path)
-    out_dir = Path(out_dir) if out_dir is not None else Path(cfg.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "config_echo.cfg").write_text(format_config(cfg))
-
     engine = init_adaptation(params, expected, lr=cfg.lr_tta, alpha=cfg.alpha,
                              alpha_l=cfg.alpha_l, optimizer_kind=cfg.optimizer,
                              fixed_decision=_FIXED_DECISIONS.get(cfg.mode),
                              mask_seed=cfg.seed, clock=clock)
+    out_dir = Path(out_dir) if out_dir is not None else Path(cfg.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    (out_dir / "config_echo.cfg").write_text(format_config(cfg))
     stream = build_stream(expected, cfg.domains, cfg.per_domain, cfg.rounds,
                           cfg.seed, cfg.severity)
-    nan = float("nan")
     rows = []
     run_start = clock()
     for inst in stream:
@@ -223,12 +224,10 @@ def run_experiment(cfg: RunConfig, checkpoint_path, out_dir=None,
             start = clock()
             pred = engine.pseudo_label(inst.image)
             report = StepReport(t=inst.t, domain=inst.domain, decision=NO_DECISION,
-                                loss_seg=nan, loss_rec=nan, tau_before=nan,
-                                tau_after=nan, wall_ms=(clock() - start) * 1000.0,
-                                teacher_labels=pred, student_labels=None)
+                                wall_ms=(clock() - start) * 1000.0, teacher_labels=pred)
         else:
             report = engine.step(inst.image, t_index=inst.t, domain=inst.domain)
-        miou = (nan if report.teacher_labels is None
+        miou = (math.nan if report.teacher_labels is None
                 else compute_miou(inst.labels, report.teacher_labels))
         own = {"round": inst.round, "miou_instance": miou}
         rows.append({c: own[c] if c in own else getattr(report, c)
@@ -319,10 +318,11 @@ def measure_throughput(result: RunResult) -> tuple:
 
 def run_mode_comparison(cfg: RunConfig, checkpoint_path, out_dir,
                         modes=MODES, clock=time.perf_counter) -> dict:
-    """Run several modes on the same stream; writes modes_summary.csv."""
-    _load_matching(cfg, checkpoint_path)   # refuse before anything is written
+    """Run several modes on the same stream; writes modes_summary.csv.
+
+    The first mode's `run_experiment` refuses a checkpoint that does not fit.
+    """
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     results = {}
     summary_rows = []
     for mode in modes:
@@ -333,5 +333,6 @@ def run_mode_comparison(cfg: RunConfig, checkpoint_path, out_dir,
         tally = _tally(result.rows)
         summary_rows.append({**tally, "mode": mode, "instances": tally["n"],
                              "mean_miou": tally["miou_mean"]})
+    out_dir.mkdir(parents=True, exist_ok=True)   # already there unless modes is empty
     _write_csv(out_dir / "modes_summary.csv", MODES_SUMMARY_COLUMNS, summary_rows)
     return results

@@ -21,7 +21,7 @@ from . import model as m
 from .autodiff import Optimizer
 from .checkpoint import save_checkpoint
 from .params import ParamStore
-from .streams import Scene, generate_scene
+from .streams import Scene, child_seed, generate_scene
 
 
 @dataclass(frozen=True)
@@ -33,11 +33,7 @@ class SourceBatch:
 
 def make_source_scenes(config: m.ModelConfig, num_scenes: int, seed: int) -> list[Scene]:
     """Render the fixed source dataset; scene i uses child seed (seed, 41, i)."""
-    scenes = []
-    for i in range(num_scenes):
-        child = int(np.random.default_rng((int(seed), 41, i)).integers(0, 2 ** 62))
-        scenes.append(generate_scene(child, config))
-    return scenes
+    return [generate_scene(child_seed(seed, 41, i), config) for i in range(num_scenes)]
 
 
 def source_step(batch: SourceBatch, params: ParamStore, config: m.ModelConfig,

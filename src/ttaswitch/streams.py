@@ -191,12 +191,9 @@ class StreamInstance:
     scene_seed: int
 
 
-def _derive_scene_seed(seed: int, t: int) -> int:
-    return int(np.random.default_rng((int(seed), int(t))).integers(0, 2 ** 62))
-
-
-def _derive_corruption_seed(scene_seed: int) -> int:
-    return int(np.random.default_rng((int(scene_seed), 977)).integers(0, 2 ** 62))
+def child_seed(*key: int) -> int:
+    """A seed in [0, 2**62) drawn from a generator seeded with the integer tuple `key`."""
+    return int(np.random.default_rng(tuple(int(k) for k in key)).integers(0, 2 ** 62))
 
 
 def _render_instance(config: ModelConfig, scene_seed: int, domain: str, rnd: int, t: int,
@@ -204,7 +201,7 @@ def _render_instance(config: ModelConfig, scene_seed: int, domain: str, rnd: int
     """Render the scene for scene_seed and corrupt it for its domain."""
     scene = generate_scene(scene_seed, config)
     cspec = CorruptionSpec(kind=domain, severity=severity,
-                           seed=_derive_corruption_seed(scene_seed))
+                           seed=child_seed(scene_seed, 977))
     image = apply_corruption(scene.image, cspec)
     return StreamInstance(image=image, labels=scene.labels, domain=domain, round=rnd,
                           t=t, scene_seed=scene_seed)
@@ -239,7 +236,7 @@ def stream_manifest(domains, per_domain: int, rounds: int, seed: int) -> list[di
         for domain in list(domains):
             for _ in range(per_domain):
                 rows.append({"t": t, "domain": domain, "round": rnd,
-                             "scene_seed": _derive_scene_seed(seed, t)})
+                             "scene_seed": child_seed(seed, t)})
                 t += 1
     return rows
 

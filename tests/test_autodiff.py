@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -12,6 +13,7 @@ from ttaswitch.autodiff import (
     Optimizer,
     ShapeError,
     Tensor,
+    _leading_bcast_shape,
     add,
     attention,
     backward,
@@ -88,6 +90,21 @@ def test_leading_broadcast_rules():
         mul(Tensor(np.ones((2, 1, 3))), Tensor(np.ones((2, 5, 3))))
     with pytest.raises(ShapeError):
         add(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 4))))
+    # every pair of shapes of rank <= 3 with dims in {1, 2, 3}, against the rule
+    # itself: right-aligned and padded with 1s, each axis holds equal dims, or the
+    # operand holding the 1 has only 1s to the left of that axis
+    shapes = [s for rank in range(4) for s in itertools.product((1, 2, 3), repeat=rank)]
+    for sa, sb in itertools.product(shapes, repeat=2):
+        n = max(len(sa), len(sb))
+        pa, pb = (1,) * (n - len(sa)) + sa, (1,) * (n - len(sb)) + sb
+        valid = all(da == db or (da == 1 and set(pa[:i]) <= {1})
+                    or (db == 1 and set(pb[:i]) <= {1})
+                    for i, (da, db) in enumerate(zip(pa, pb)))
+        if valid:
+            assert _leading_bcast_shape(sa, sb, "add") == np.broadcast_shapes(sa, sb), (sa, sb)
+        else:
+            with pytest.raises(ShapeError):
+                _leading_bcast_shape(sa, sb, "add")
 
 
 def test_nonfinite_is_an_error():

@@ -52,12 +52,21 @@ def test_gen_stream(workdir, capsys):
     assert "4 instances" in capsys.readouterr().out
 
 
-def test_gen_stream_refuses_unknown_domain(tmp_path):
+def assert_usage_error(capsys, reason: str) -> None:
+    """The last line on stderr is argparse's one-line error, holding `reason`."""
+    last = capsys.readouterr().err.splitlines()[-1]
+    assert last.startswith("ttaswitch: error: ") and reason in last
+
+
+def test_gen_stream_refuses_unknown_domain(tmp_path, capsys):
     cfg = tmp_path / "typo.cfg"
     cfg.write_text(TINY_CFG.replace("domains = fog,night", "domains = fog,fgo"))
-    with pytest.raises(ValueError, match="fgo"):
-        main(["gen-stream", "--config", str(cfg), "--out", str(tmp_path / "m")])
-    assert not (tmp_path / "m").exists()
+    for path, reason in ((cfg, "fgo"), (tmp_path / "missing.cfg", "config file not found")):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["gen-stream", "--config", str(path), "--out", str(tmp_path / "m")])
+        assert exit_info.value.code == 2
+        assert_usage_error(capsys, reason)
+        assert not (tmp_path / "m").exists()
 
 
 def test_adapt_and_eval(workdir, capsys):
@@ -94,12 +103,14 @@ def test_missing_checkpoint_fails(workdir):
               str(root / "nope.htta"), "--out", str(root / "x")])
 
 
-def test_negative_seed_refused_before_writing(workdir):
+def test_negative_seed_refused_before_writing(workdir, capsys):
     root, cfg = workdir
-    with pytest.raises(ValueError, match="seed"):
+    with pytest.raises(SystemExit) as exit_info:
         main(["adapt", "--config", str(cfg), "--checkpoint",
               str(root / "src" / "source.htta"), "--seed", "-1",
               "--out", str(root / "negative")])
+    assert exit_info.value.code == 2
+    assert_usage_error(capsys, "seed must be >= 0")
     assert not (root / "negative").exists()
 
 

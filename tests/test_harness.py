@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 from helpers import make_fake_clock, write_unchecked_checkpoint
+from ttaswitch.checkpoint import save_checkpoint
 from ttaswitch.harness import (MODES, PER_INSTANCE_COLUMNS, ROUND_SUMMARY_COLUMNS,
                                RunConfig, format_config, load_config,
                                measure_throughput, parse_config_text,
@@ -237,10 +238,14 @@ def test_checkpoint_config_mismatch_rejected(checkpoint, tmp_path):
 def test_checkpoint_that_does_not_fit_its_config_refused_before_writing(tmp_path):
     cfg = tiny_cfg()
     wide = init_params(replace(cfg.model_config(), embed_dim=32), seed=0)
-    path = write_unchecked_checkpoint(tmp_path / "wide.htta", wide, cfg.model_config())
-    with pytest.raises(ValueError, match="mismatched"):
-        run_experiment(cfg, path, tmp_path / "out")
-    assert not (tmp_path / "out").exists()
+    bare = init_params(cfg.model_config(), seed=0, include_adapters=False)
+    paths = (write_unchecked_checkpoint(tmp_path / "wide.htta", wide, cfg.model_config()),
+             save_checkpoint(tmp_path / "bare.htta", bare, cfg.model_config()))
+    for path in paths:
+        for run in (run_experiment, run_mode_comparison):
+            with pytest.raises(ValueError, match="does not fit the config"):
+                run(cfg, path, tmp_path / "out")
+            assert not (tmp_path / "out").exists(), (path.name, run.__name__)
 
 
 def test_run_mode_comparison(checkpoint, tmp_path):
