@@ -144,7 +144,7 @@ def detect_shift(state: ShiftState | None, image,
     take the instance with factor alpha_l. Pure: `state` is not modified.
     """
     stats = input_statistics(image)
-    if not np.all(np.isfinite(stats)):
+    if not np.isfinite(stats).all():
         raise NonFiniteError("shift detection on non-finite input")
     if state is None:
         shift, mean, var = True, stats, np.zeros_like(stats)

@@ -20,6 +20,10 @@ replay the composed path's numpy calls in the same order and on the same
 memory layouts, so values and gradients are bit-identical to it, and they
 check every intermediate the composed path would have checked.
 
+GELU is the exact, erf-based one. Its erf, `_erf`, is numpy code that
+reproduces scipy.special.erf (cephes) bit for bit, so no part of the
+model's default path imports scipy.
+
 Broadcasting is restricted to leading axes: shapes align from the right
 and a size-1 (or absent) dimension may only broadcast if every dimension
 to its left in the same operand is also size 1 or absent.
@@ -45,7 +49,6 @@ from itertools import dropwhile
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import erf
 
 
 class ShapeError(ValueError):
@@ -124,7 +127,7 @@ class Tensor:
         arr = np.asarray(data, dtype=np.float64)
         if not arr.flags["C_CONTIGUOUS"]:
             arr = np.ascontiguousarray(arr)
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(arr).all():
             raise NonFiniteError("tensor holds non-finite values")
         self.data = arr
         self.requires_grad = bool(requires_grad)
@@ -155,7 +158,7 @@ def detach(a: Tensor) -> Tensor:
 
 
 def _check(op: str, data: np.ndarray) -> np.ndarray:
-    if not np.all(np.isfinite(data)):
+    if not np.isfinite(data).all():
         raise NonFiniteError(f"{op}: non-finite output")
     return data
 
@@ -323,11 +326,70 @@ def transpose(a, axes: Sequence[int] | None = None) -> Tensor:
     return _emit("transpose", (a,), np.transpose(a.data, axes), vjp)
 
 
+# cephes' erf/erfc coefficients (scipy.special.erf), highest power first;
+# U and Q omit their leading 1.
+_ERF_T = (9.60497373987051638749E0, 9.00260197203842689217E1, 2.23200534594684319226E3,
+          7.00332514112805075473E3, 5.55923013010394962768E4)
+_ERF_U = (3.35617141647503099647E1, 5.21357949780152679795E2, 4.59432382970980127987E3,
+          2.26290000613890934246E4, 4.92673942608635921086E4)
+_ERFC_P = (2.46196981473530512524E-10, 5.64189564831068821977E-1, 7.46321056442269912687E0,
+           4.86371970985681366614E1, 1.96520832956077098242E2, 5.26445194995477358631E2,
+           9.34528527171957607540E2, 1.02755188689515710272E3, 5.57535335369399327526E2)
+_ERFC_Q = (1.32281951154744992508E1, 8.67072140885989742329E1, 3.54937778887819891062E2,
+           9.75708501743205489753E2, 1.82390916687909736289E3, 2.24633760818710981792E3,
+           1.65666309194161350182E3, 5.57535340817727675546E2)
+
+
+def _horner(out: np.ndarray, x: np.ndarray, coefs: Sequence[float]) -> np.ndarray:
+    """cephes' polevl steps, in place: out = out * x + c for each c in turn."""
+    for c in coefs:
+        out *= x
+        out += c
+    return out
+
+
+def _erf(x: np.ndarray) -> np.ndarray:
+    """scipy.special.erf of a float64 array, bit for bit.
+
+    cephes computes x * T(x^2) / U(x^2) for |x| <= 1, and beyond that
+    1 - erfc(|x|) with the sign of x, where erfc(a) = exp(-a^2) * P(a) / Q(a)
+    for a < 8. Each step runs in cephes' order, and exp is libm's
+    (`math.exp`), whose last bit numpy's own exp does not always match.
+    From a = 8 on, erfc(a) < 2**-54, so erf is exactly +-1 and cephes' R/S
+    form for that range cannot change a bit.
+    """
+    shape, x = x.shape, x.reshape(-1)
+    with np.errstate(over="ignore", invalid="ignore"):   # overflowed lanes are rewritten
+        z = x * x
+        out = z * _ERF_T[0]
+        out += _ERF_T[1]
+        _horner(out, z, _ERF_T[2:])
+        den = z + _ERF_U[0]
+        out *= x
+        out /= _horner(den, z, _ERF_U[1:])
+        tail = np.flatnonzero(z > 1.0)   # |x| > 1: a few lanes per call
+        if tail.size:
+            xt = x[tail]
+            a = np.abs(xt)
+            y = np.array([math.exp(-v * v) for v in a.tolist()])
+            p = a * _ERFC_P[0]
+            p += _ERFC_P[1]
+            y *= _horner(p, a, _ERFC_P[2:])
+            q = a + _ERFC_Q[0]
+            y /= _horner(q, a, _ERFC_Q[1:])
+            np.subtract(1.0, y, out=y)
+            y[a >= 8.0] = 1.0
+            out[tail] = np.copysign(y, xt)
+    return out.reshape(shape)
+
+
 def gelu(a) -> Tensor:
     """Exact (erf-based) Gaussian error linear unit."""
     a = as_tensor(a)
     x = a.data
-    cdf = 0.5 * (1.0 + erf(x / math.sqrt(2.0)))
+    cdf = _erf(x / math.sqrt(2.0))
+    cdf += 1.0
+    cdf *= 0.5
     out = x * cdf
 
     def vjp(g):
@@ -604,7 +666,7 @@ def l1_masked(pred, target, mask) -> Tensor:
             f"l1_masked: shapes must match exactly, got {pred.shape}/{target.shape}/{mask.shape}"
         )
     md = mask.data
-    if not np.all((md == 0.0) | (md == 1.0)):
+    if not ((md == 0.0) | (md == 1.0)).all():
         raise ValueError("l1_masked: mask entries must be 0 or 1")
     denom = max(float(md.sum()), 1.0)
     diff = pred.data - target.data

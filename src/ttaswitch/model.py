@@ -27,7 +27,6 @@ import math
 from dataclasses import dataclass, field, fields
 
 import numpy as np
-from scipy import ndimage
 
 from . import autodiff as ad
 from .autodiff import (  # the ten tracing.MODEL_OPS stay bound: perfbench patches them here
@@ -337,6 +336,7 @@ def _pos_embed_for_grid(params: ParamStore, config: ModelConfig, grid: int) -> T
         return pos
     if tape_active():
         raise ValueError("variable input size is inference-only (no tape may be active)")
+    from scipy import ndimage   # only this path needs scipy, so the default run never imports it
     g0, d = config.grid, config.embed_dim
     field2d = pos.data.reshape(g0, g0, d)
     z = grid / g0

@@ -5,10 +5,11 @@ objects of distinct non-background classes; the dense class map is reduced
 to per-patch majority labels. Scenes are rendered for a `ModelConfig`, of
 which only `image_size`, `patch_size` and `num_classes` are read; the
 palette holds at most `MAX_CLASSES` classes. Corruptions transform pixels
-only, so labels carry over untouched. The target stream cycles the
-corruption domains for a fixed number of rounds and is a single-pass
-iterator: each instance is yielded exactly once and the stream cannot be
-rewound.
+only, so labels carry over untouched; rain's 3x3 box blur is numpy code
+that reproduces scipy.ndimage.uniform_filter bit for bit. The target
+stream cycles the corruption domains for a fixed number of rounds and is
+a single-pass iterator: each instance is yielded exactly once and the
+stream cannot be rewound.
 """
 from __future__ import annotations
 
@@ -17,7 +18,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy import ndimage
 
 from .model import ModelConfig
 
@@ -157,7 +157,27 @@ def _rain(x, s, rng):
         keep = (ys < h) & (xs >= 0) & (xs < w)
         out[:, ys[keep], xs[keep]] = np.minimum(out[:, ys[keep], xs[keep]] + 0.45, 1.0)
     for _ in range(int(np.ceil(3 * s))):
-        out = ndimage.uniform_filter(out, size=(1, 3, 3), mode="nearest")
+        out = _box_blur(out)
+    return out
+
+
+def _box_blur(x):
+    """`ndimage.uniform_filter(x, size=(1, 3, 3), mode="nearest")`, bit for bit.
+
+    scipy filters down each column (axis -2) and then along each row, each
+    line as a running sum over its edge-padded copy p: the first window's
+    sum, then one `p[k + 3] - p[k]` per step, each output divided by 3.
+    """
+    return _running_mean3(_running_mean3(x.swapaxes(-1, -2)).swapaxes(-1, -2))
+
+
+def _running_mean3(x):
+    p = np.concatenate((x[..., :1], x, x[..., -1:]), axis=-1)
+    steps = np.empty(x.shape)
+    steps[..., 0] = 0.0 + p[..., 0] + p[..., 1] + p[..., 2]   # scipy's sum starts at 0.0
+    np.subtract(p[..., 3:], p[..., :-3], out=steps[..., 1:])
+    out = np.add.accumulate(steps, axis=-1)
+    out /= 3.0
     return out
 
 

@@ -13,6 +13,7 @@ from ttaswitch.autodiff import (
     Optimizer,
     ShapeError,
     Tensor,
+    _erf,
     _leading_bcast_shape,
     add,
     attention,
@@ -144,6 +145,27 @@ def test_gelu_relu_values():
     g = gelu(Tensor(np.array([8.0, -8.0]))).data
     assert g[0] == pytest.approx(8.0, abs=1e-12)
     assert g[1] == pytest.approx(0.0, abs=1e-12)
+
+
+def _same_bits(a, b) -> bool:
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+@pytest.mark.filterwarnings("error")   # no input may raise a RuntimeWarning
+def test_erf_is_scipy_erf_bit_for_bit():
+    from scipy import special
+    rng = np.random.default_rng(0)
+    draws = [rng.normal(size=(250, 800)) * s for s in (0.3, 1.0, 3.0, 30.0, 1e3, 1e200)]
+    grid = np.linspace(-30.0, 30.0, 1_200_001)
+    edges = np.array([0.0, -0.0, 5e-324, -5e-324, 1.0, -1.0, np.nextafter(1.0, 2.0),
+                      np.nextafter(-1.0, -2.0), np.nextafter(1.0, 0.0), 8.0, -8.0,
+                      np.nextafter(8.0, 0.0), np.nextafter(8.0, 9.0), 26.64, 26.65,
+                      -26.65, 1e308, -1e308, np.inf, -np.inf])
+    for x in (*draws, grid, edges):
+        assert _same_bits(_erf(x), special.erf(x))
+    x = rng.normal(size=(3, 40, 64)) * 3.0
+    expected = x * (0.5 * (1.0 + special.erf(x / math.sqrt(2.0))))
+    assert _same_bits(gelu(Tensor(x)).data, expected)
 
 
 def test_mean_values():

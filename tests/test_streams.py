@@ -3,8 +3,9 @@ import pytest
 
 from ttaswitch.model import ModelConfig
 from ttaswitch.streams import (CORRUPTIONS, MAX_CLASSES, CorruptionSpec, apply_corruption,
-                               build_stream, generate_scene, majority_patch_labels,
-                               stream_from_manifest, stream_manifest, write_manifest)
+                               _box_blur, build_stream, generate_scene,
+                               majority_patch_labels, stream_from_manifest, stream_manifest,
+                               write_manifest)
 
 SPEC = ModelConfig(image_size=16, patch_size=4, num_classes=5)
 
@@ -99,6 +100,41 @@ def test_rain_properties():
     assert out.min() >= 0.0 and out.max() <= 1.0
     assert not np.array_equal(out, x)
     assert not np.array_equal(out, apply_corruption(x, CorruptionSpec("rain", 0.8, seed=3)))
+
+
+def test_box_blur_is_scipy_uniform_filter_bit_for_bit():
+    from scipy import ndimage
+    rng = np.random.default_rng(0)
+    for i in range(60):
+        x = rng.random((3, 32, 32)) if i % 2 else rng.normal(size=(3, 32, 32)) * 10.0
+        ours = ref = x
+        for _ in range(3):   # chained, as rain blurs up to three times
+            ours = _box_blur(ours)
+            ref = ndimage.uniform_filter(ref, size=(1, 3, 3), mode="nearest")
+            assert ours.tobytes() == ref.tobytes()
+
+
+def test_rain_matches_a_scipy_reference():
+    from scipy import ndimage
+    x = generate_scene(13, ModelConfig()).image
+    for s in (0.4, 0.8, 1.0):
+        # replay _rain's draws, blurring with scipy's own filter
+        rng = np.random.default_rng(21)
+        _, h, w = x.shape
+        ref = x.copy()
+        for _ in range(int(round(25 * s))):
+            length = int(rng.integers(6, 13))
+            y0 = int(rng.integers(0, max(h - length, 1)))
+            x0 = int(rng.integers(0, w))
+            slant = int(rng.integers(-2, 3))
+            ys = y0 + np.arange(length)
+            xs = x0 + np.rint(np.linspace(0.0, slant, length)).astype(int)
+            keep = (ys < h) & (xs >= 0) & (xs < w)
+            ref[:, ys[keep], xs[keep]] = np.minimum(ref[:, ys[keep], xs[keep]] + 0.45, 1.0)
+        for _ in range(int(np.ceil(3 * s))):
+            ref = ndimage.uniform_filter(ref, size=(1, 3, 3), mode="nearest")
+        out = apply_corruption(x, CorruptionSpec("rain", s, seed=21))
+        assert out.tobytes() == np.clip(ref, 0.0, 1.0).tobytes()
 
 
 def test_severity_zero_is_identity_copy():
