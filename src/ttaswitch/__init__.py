@@ -9,7 +9,7 @@ harness.
 """
 
 from .adaptation import (ET, FT, SKIP, AdaptationEngine, StepReport, decide_shift,
-                         detect_shift, ema_update, init_adaptation, update_threshold)
+                         detect_shift, ema_update, update_threshold)
 from .autodiff import (GraphError, NonFiniteError, Optimizer, ShapeError, Tape,
                        Tensor, backward, recording)
 from .checkpoint import load_checkpoint, save_checkpoint
@@ -34,9 +34,9 @@ __all__ = [
     "SKIP", "Scene", "ShapeError", "SourceBatch", "StepReport",
     "StreamInstance", "Tape", "Tensor", "apply_corruption", "apply_mask",
     "backward", "build_stream", "compute_miou", "decide_shift", "detect_shift",
-    "draw_mask", "ema_update", "encode", "generate_scene", "init_adaptation",
-    "init_params", "insert_adapters", "load_checkpoint", "load_config",
-    "make_source_scenes", "measure_throughput", "parse_config_text", "predict",
+    "draw_mask", "ema_update", "encode", "generate_scene", "init_params",
+    "insert_adapters", "load_checkpoint", "load_config", "make_source_scenes",
+    "measure_throughput", "parse_config_text", "predict",
     "recording", "round_summary", "run_experiment", "run_mode_comparison",
     "save_checkpoint", "source_step", "stream_from_manifest", "stream_manifest",
     "train_source", "update_threshold", "write_manifest",

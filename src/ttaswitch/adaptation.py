@@ -174,8 +174,10 @@ class StepReport:
 class AdaptationEngine:
     """Holds student, EMA teacher, optimizer, loss threshold, and shift detector.
 
-    The student store must contain every group (it is the source checkpoint);
-    the teacher is a deep copy of the backbone, adapter, and segmentation-head
+    The student store is the source checkpoint. It must fit the config's
+    parameter layout, adapters included; a store that does not is refused
+    with ValueError before anything else is built, by subclasses too. The
+    teacher is a deep copy of the backbone, adapter, and segmentation-head
     entries only. By default the tuning mode comes from `detect_shift` on the
     input sequence. `fixed_decision` (FT or ET) replaces it with a constant,
     the ft-only/et-only behaviour. `decision_fn(loss_seg, tau) -> bool` may
@@ -189,6 +191,7 @@ class AdaptationEngine:
                  optimizer_kind: str = "adam", decision_fn=None,
                  fixed_decision: str | None = None, mask_seed: int = 0,
                  clock=time.perf_counter):
+        m.check_layout(params.entries(), config)
         if not 0.0 <= alpha <= 1.0 or not 0.0 <= alpha_l <= 1.0:
             raise ValueError("alpha and alpha_l must lie in [0, 1]")
         if fixed_decision not in (None, FT, ET):
@@ -278,10 +281,3 @@ class AdaptationEngine:
                           wall_ms=wall_ms, loss_seg=float(loss_seg.data),
                           loss_rec=float(loss_rec.data), tau_before=tau_before,
                           tau_after=self.tau, teacher_labels=labels)
-
-
-def init_adaptation(params: ParamStore, config: m.ModelConfig,
-                    **engine_kwargs) -> AdaptationEngine:
-    """Build an engine from checkpoint contents that fit the config's layout."""
-    m.check_layout(params.entries(), config)
-    return AdaptationEngine(params, config, **engine_kwargs)

@@ -724,9 +724,6 @@ class Optimizer:
     Moment buffers and step counts are kept per parameter name and are
     shared across steps regardless of which group filter each step used.
     Parameters whose `.grad` is None are skipped without advancing state.
-    Adam updates in place through two scratch buffers per parameter, in the
-    operation order of `lr * mhat / (sqrt(vhat) + eps)`, so a step
-    allocates nothing after a parameter's first.
     """
 
     def __init__(self, kind: str = "adam"):
@@ -736,7 +733,6 @@ class Optimizer:
         self._m: dict[str, np.ndarray] = {}
         self._v: dict[str, np.ndarray] = {}
         self._t: dict[str, int] = {}
-        self._scratch: dict[str, tuple[np.ndarray, np.ndarray]] = {}
 
     def step(self, params, group_filter, lr: float) -> list[str]:
         """Update parameters whose group is in `group_filter`; clear all grads.
@@ -764,26 +760,16 @@ class Optimizer:
                 if m is None:
                     m = self._m[name] = np.zeros_like(p.data)
                     self._v[name] = np.zeros_like(p.data)
-                    self._scratch[name] = (np.empty_like(p.data), np.empty_like(p.data))
                     self._t[name] = 0
                 v = self._v[name]
-                s, r = self._scratch[name]
-                t = self._t[name] + 1
-                self._t[name] = t
+                t = self._t[name] = self._t[name] + 1
                 m *= ADAM_BETA1
-                m += np.multiply(1.0 - ADAM_BETA1, g, out=s)
+                m += (1.0 - ADAM_BETA1) * g
                 v *= ADAM_BETA2
-                np.multiply(g, g, out=s)
-                s *= 1.0 - ADAM_BETA2
-                v += s
-                np.divide(m, 1.0 - ADAM_BETA1 ** t, out=s)   # mhat
-                s *= lr
-                np.divide(v, 1.0 - ADAM_BETA2 ** t, out=r)   # vhat
-                np.sqrt(r, out=r)
-                r += ADAM_EPS
-                s /= r
-                p.data -= s
+                v += (1.0 - ADAM_BETA2) * (g * g)
+                mhat = m / (1.0 - ADAM_BETA1 ** t)
+                vhat = v / (1.0 - ADAM_BETA2 ** t)
+                p.data -= lr * mhat / (np.sqrt(vhat) + ADAM_EPS)
             updated.append(name)
-        for n in params.names():
-            params[n].grad = None
+        params.zero_grad()
         return updated

@@ -5,16 +5,18 @@ comment). Unknown and duplicate keys are rejected with their line number.
 `RunConfig` extends `ModelConfig`: the nine model fields, their defaults
 and their checks come first, then the run settings. A `RunConfig` checks
 itself whole when it is built, whether parsed, copied with ``replace`` or
-constructed directly. Besides the `ModelConfig` checks it refuses an
-unknown mode, optimizer or domain, repeated domains, counts out of range,
-a severity, alpha or alpha_l outside [0, 1], a learning rate that is not
-finite and positive, a negative seed and more classes than the scene
-palette, so an invalid run is refused before anything is written. So is
-a checkpoint that does not fit the config, one without adapters
-included: `run_experiment` builds its engine, which checks the layout,
-before it creates the output directory. The effective configuration is
-echoed into the output directory, followed by a per-instance CSV, a
-per-round summary CSV, and a one-line summary.
+constructed directly. Besides the `ModelConfig` checks, which refuse a
+value of another kind than its field's default in any field (so the echo
+parses back), it refuses an unknown mode, optimizer or domain, repeated
+domains, counts out of range, a severity, alpha or alpha_l outside
+[0, 1], a learning rate that is not finite and positive, a negative seed
+and more classes than the scene palette, so an invalid run is refused
+before anything is written. So is a checkpoint that does not fit the
+config, one without adapters included: `run_experiment` builds its
+engine, which checks the layout, before it creates the output directory.
+The effective configuration is echoed into the output directory,
+followed by a per-instance CSV, a per-round summary CSV, and a one-line
+summary.
 
 Floats in CSVs are written with ``repr``, so equal runs produce
 byte-identical files. Wall-clock columns stay reproducible because every
@@ -31,7 +33,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .adaptation import ET, FT, SKIP, StepReport, init_adaptation
+from .adaptation import ET, FT, SKIP, AdaptationEngine, StepReport
 from .checkpoint import load_checkpoint
 from .metrics import compute_miou
 from .model import ModelConfig
@@ -73,6 +75,7 @@ class RunConfig(ModelConfig):
     out_dir: str = "runs/default"
 
     def __post_init__(self):
+        super().__post_init__()
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got '{self.mode}'")
         if self.optimizer not in ("adam", "sgd"):
@@ -98,7 +101,6 @@ class RunConfig(ModelConfig):
         if self.num_classes > MAX_CLASSES:
             raise ValueError(f"num_classes {self.num_classes} exceeds the scene palette "
                              f"({MAX_CLASSES} classes)")
-        super().__post_init__()
 
 
 def _parse_value(key: str, raw: str, kind: type, lineno: int):
@@ -208,10 +210,10 @@ def run_experiment(cfg: RunConfig, checkpoint_path, out_dir=None,
     image, computed before that instance's update.
     """
     params, expected = _load_matching(cfg, checkpoint_path)
-    engine = init_adaptation(params, expected, lr=cfg.lr_tta, alpha=cfg.alpha,
-                             alpha_l=cfg.alpha_l, optimizer_kind=cfg.optimizer,
-                             fixed_decision=_FIXED_DECISIONS.get(cfg.mode),
-                             mask_seed=cfg.seed, clock=clock)
+    engine = AdaptationEngine(params, expected, lr=cfg.lr_tta, alpha=cfg.alpha,
+                              alpha_l=cfg.alpha_l, optimizer_kind=cfg.optimizer,
+                              fixed_decision=_FIXED_DECISIONS.get(cfg.mode),
+                              mask_seed=cfg.seed, clock=clock)
     out_dir = Path(out_dir) if out_dir is not None else Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "config_echo.cfg").write_text(format_config(cfg))

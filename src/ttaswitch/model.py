@@ -67,6 +67,14 @@ class ModelConfig:
     mask_ratio: float = 0.6
 
     def __post_init__(self):
+        # every field, a subclass's too, has the kind of its default, as the parser
+        # reads it (an int is also a float, a bool neither): the checks below then
+        # compare numbers, and the echoed config parses back
+        for f in fields(self):
+            value, kind = getattr(self, f.name), type(f.default)
+            if isinstance(value, bool) or not isinstance(
+                    value, (int, float) if kind is float else kind):
+                raise ValueError(f"{f.name} must be {kind.__name__}, got {value!r}")
         if self.image_size < 1 or self.patch_size < 1:
             raise ValueError("image_size and patch_size must be positive")
         if self.image_size % self.patch_size != 0:

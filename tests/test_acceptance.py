@@ -17,8 +17,7 @@ from aug_stub import MultiScaleFlipTeacher
 from helpers import fd_gradient, make_fake_clock, rel_err
 from ttaswitch import autodiff as ad
 from ttaswitch import model as m
-from ttaswitch.adaptation import (AdaptationEngine, FT, decide_shift, ema_update,
-                                  init_adaptation, update_threshold)
+from ttaswitch.adaptation import AdaptationEngine, FT, decide_shift, ema_update, update_threshold
 from ttaswitch.autodiff import Optimizer, Tensor
 from ttaswitch.checkpoint import load_checkpoint, save_checkpoint
 from ttaswitch.harness import RunConfig, measure_throughput, read_per_instance_csv, run_experiment, run_mode_comparison
@@ -230,7 +229,7 @@ def test_criterion_03_threshold_dynamics(capsys, reference):
 
         # tau_0 == 0 and a positive first loss always routes to FT
         params, mcfg = load_checkpoint(reference["ckpt"])
-        engine = init_adaptation(params.clone(), mcfg)
+        engine = AdaptationEngine(params.clone(), mcfg)
         assert engine.tau == 0.0
         for loss in rng.uniform(1e-9, 10.0, size=100):
             assert decide_shift(float(loss), 0.0) is True
@@ -250,8 +249,8 @@ def test_criterion_04_group_isolation(capsys, reference):
         cfg = reference["cfg"]
         insts = _stream(cfg, ("fog", "rain", "snow"), per_domain=1, seed=21)
 
-        engine = init_adaptation(params.clone(), mcfg,
-                                 decision_fn=lambda loss, tau: False)
+        engine = AdaptationEngine(params.clone(), mcfg,
+                                  decision_fn=lambda loss, tau: False)
         frozen = [n for n in engine.student.names()
                   if engine.student.group_of(n) != "adapter"]
         adapters = [n for n in engine.student.names()
@@ -264,8 +263,8 @@ def test_criterion_04_group_isolation(capsys, reference):
             assert engine.student.snapshot_bytes(frozen) == before_frozen
             assert engine.student.snapshot_bytes(adapters) != before_adapt
 
-        engine = init_adaptation(params.clone(), mcfg,
-                                 decision_fn=lambda loss, tau: True)
+        engine = AdaptationEngine(params.clone(), mcfg,
+                                  decision_fn=lambda loss, tau: True)
         groups = engine.student.groups_present()
         before = {g: engine.student.snapshot_bytes(engine.student.group_names(g))
                   for g in groups}
@@ -375,7 +374,7 @@ def test_criterion_08_forward_economy(capsys, reference):
         params, mcfg = load_checkpoint(reference["ckpt"])
         cfg = reference["cfg"]
         insts = _stream(cfg, ("fog", "rain"), per_domain=6, seed=5)
-        fast = init_adaptation(params.clone(), mcfg)
+        fast = AdaptationEngine(params.clone(), mcfg)
         slow = MultiScaleFlipTeacher(params.clone(), mcfg)
         for inst in insts[:2]:  # warmup
             fast.step(inst.image, inst.t, inst.domain)

@@ -5,16 +5,17 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
+from aug_stub import MultiScaleFlipTeacher
 from helpers import make_fake_clock, track_tapes
 from ttaswitch import adaptation
-from ttaswitch.adaptation import (ET, FT, SKIP, TEACHER_GROUPS, StepReport, decide_shift,
-                                  detect_shift, ema_update, ft_window, init_adaptation,
+from ttaswitch.adaptation import (ET, FT, SKIP, TEACHER_GROUPS, AdaptationEngine, StepReport,
+                                  decide_shift, detect_shift, ema_update, ft_window,
                                   input_statistics, update_threshold)
 from ttaswitch.autodiff import NonFiniteError, Optimizer, Tensor
 from ttaswitch.checkpoint import load_checkpoint
 from ttaswitch.harness import RunConfig
-from ttaswitch.model import (ModelConfig, draw_mask, masked_losses, parameter_layout,
-                             predict)
+from ttaswitch.model import (ModelConfig, draw_mask, init_params, masked_losses,
+                             parameter_layout, predict)
 from ttaswitch.params import ParamStore
 from ttaswitch.source import SourceBatch, source_step, train_source
 from ttaswitch.streams import build_stream
@@ -33,7 +34,7 @@ def trained(tmp_path_factory):
 
 def fresh_engine(trained, **kw):
     params, config = trained
-    return init_adaptation(params.clone(), config, **kw)
+    return AdaptationEngine(params.clone(), config, **kw)
 
 
 def instances(n, seed=3, severity=0.8):
@@ -399,15 +400,20 @@ def test_full_run_is_reproducible(trained):
     assert outputs[0] == outputs[1]
 
 
-def test_init_adaptation_name_validation(trained):
+def test_engine_refuses_a_store_that_does_not_fit(trained, monkeypatch):
+    # Building is the one way to get an engine, so every engine, the subclass
+    # of criterion 08 included, checks the layout before it clones a teacher.
     params, config = trained
     partial = params.subset(params.names()[:-1]).clone()
-    with pytest.raises(ValueError, match="missing"):
-        init_adaptation(partial, config)
     extra = params.clone()
     extra.add("rogue.w", Tensor(np.zeros(3)), "backbone")
-    with pytest.raises(ValueError, match="unexpected"):
-        init_adaptation(extra, config)
+    no_adapters = init_params(config, include_adapters=False)
+    monkeypatch.setattr(ParamStore, "clone", lambda self: pytest.fail("cloned a teacher"))
+    for store, reason in ((partial, "missing"), (extra, "unexpected"),
+                          (no_adapters, "missing.*adapter")):
+        for engine_class in (AdaptationEngine, MultiScaleFlipTeacher):
+            with pytest.raises(ValueError, match=reason):
+                engine_class(store, config)
     assert {row[0] for row in parameter_layout(config)} == set(params.names())
 
 

@@ -112,8 +112,8 @@ def test_nonfinite_is_an_error():
     with pytest.raises(NonFiniteError):
         Tensor(np.array([1.0, np.nan]))
     big = Tensor(np.full((2, 2), 1e300))
-    with pytest.raises(NonFiniteError):
-        matmul(big, big)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonFiniteError):
+        matmul(big, big)   # overflows on purpose
     with pytest.raises(NonFiniteError):
         scalar_mul(Tensor(np.ones(2)), float("inf"))
 
@@ -646,10 +646,11 @@ def test_layer_primitives_raise_where_composed_path_raises():
                    {7: huge}, {7: large, 8: top}):                           # output
         cases["attention"].append([change.get(i, a) for i, a in enumerate(att)])
     for name, arrays_list in cases.items():
-        verdicts = [_raises_nonfinite(composed[name], arrays) for arrays in arrays_list]
+        with np.errstate(over="ignore", invalid="ignore"):   # the cases overflow on purpose
+            verdicts = [_raises_nonfinite(composed[name], arrays) for arrays in arrays_list]
+            fused_verdicts = [_raises_nonfinite(fused[name], arrays) for arrays in arrays_list]
         assert verdicts[0] is False and all(verdicts[1:]), (name, verdicts)
-        for arrays, want in zip(arrays_list, verdicts):
-            assert _raises_nonfinite(fused[name], arrays) == want, name
+        assert fused_verdicts == verdicts, name
 
 
 # ---------------------------------------------------------------------------
@@ -721,9 +722,18 @@ def test_adam_moments_shared_across_filters():
     store["enc.w"].grad = np.array([1.0])
     opt.step(store, {"adapter", "backbone"}, lr=0.1)
     assert opt._t["ada.w"] == 2 and opt._t["enc.w"] == 1
+    # step 3: the adapter, inside the filter, has no gradient. It is skipped
+    # without advancing state while its neighbour steps.
+    before = (store.snapshot_bytes(["ada.w"]), opt._m["ada.w"].tobytes(),
+              opt._v["ada.w"].tobytes())
+    store["enc.w"].grad = np.array([1.0])
+    assert opt.step(store, {"adapter", "backbone"}, lr=0.1) == ["enc.w"]
+    assert (store.snapshot_bytes(["ada.w"]), opt._m["ada.w"].tobytes(),
+            opt._v["ada.w"].tobytes()) == before
+    assert opt._t["ada.w"] == 2 and opt._t["enc.w"] == 2
 
 
-def test_in_place_adam_matches_reference_expression_bitwise():
+def test_adam_matches_reference_expression_bitwise():
     rng = np.random.default_rng(60)
     values = [("enc.w", "backbone", rng.normal(size=(4, 3))),
               ("ada.w", "adapter", rng.normal(size=(3, 2))),

@@ -62,6 +62,9 @@ def test_shipped_configs_override_the_defaults():
             RunConfig(), mode=name.replace("_", "-"), out_dir=f"runs/{name}")
     smoke = load_config(CONFIGS / "smoke.cfg")   # parses and validates
     assert smoke.mode == "hybrid" and smoke.out_dir == "runs/smoke"
+    for path in sorted(CONFIGS.glob("*.cfg")):   # each echo parses back to its config
+        cfg = load_config(path)
+        assert parse_config_text(format_config(cfg)) == cfg, path.name
 
 
 def test_config_comments_and_whitespace():
@@ -121,6 +124,17 @@ def test_config_semantic_validation():
         RunConfig(lr_tta=math.inf)
     with pytest.raises(ValueError, match="learning rates"):
         parse_config_text("lr_source = nan")
+    # a value of the wrong kind, which the echo could not parse back
+    for key, value in (("per_domain", 2.5), ("per_domain", True), ("seed", 1.5),
+                       ("domains", ["fog", "night"]), ("alpha", "0.5"), ("alpha", True),
+                       ("image_size", 32.0)):
+        with pytest.raises(ValueError, match=f"{key} must be"):
+            RunConfig(**{key: value})
+    with pytest.raises(ValueError, match="depth must be int"):
+        ModelConfig(depth=2.0)
+    with pytest.raises(ValueError, match="adapter_scale must be float"):
+        replace(ModelConfig(), adapter_scale=None)
+    assert RunConfig(alpha=1).alpha == 1   # an int is a float's kind
     assert RunConfig(num_classes=8).model_config().num_classes == 8
 
 
