@@ -175,7 +175,8 @@ class AdaptationEngine:
     """Holds student, EMA teacher, optimizer, loss threshold, and shift detector.
 
     The student store is the source checkpoint. It must fit the config's
-    parameter layout, adapters included; a store that does not is refused
+    parameter layout, adapters included; a store that does not, a learning
+    rate that is not finite and positive, or a negative mask seed is refused
     with ValueError before anything else is built, by subclasses too. The
     teacher is a deep copy of the backbone, adapter, and segmentation-head
     entries only. By default the tuning mode comes from `detect_shift` on the
@@ -194,6 +195,8 @@ class AdaptationEngine:
         m.check_layout(params.entries(), config)
         if not 0.0 <= alpha <= 1.0 or not 0.0 <= alpha_l <= 1.0:
             raise ValueError("alpha and alpha_l must lie in [0, 1]")
+        if not 0.0 < lr < math.inf or mask_seed < 0:
+            raise ValueError(f"need a finite lr > 0 and mask_seed >= 0, got {lr}, {mask_seed}")
         if fixed_decision not in (None, FT, ET):
             raise ValueError(f"fixed_decision must be {FT!r}, {ET!r} or None, "
                              f"got {fixed_decision!r}")

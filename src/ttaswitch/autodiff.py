@@ -18,7 +18,11 @@ Three layer primitives, `linear`, `ln_affine` and `attention`, each record
 one node for what the elementwise primitives record as 2, 3 and 21. They
 replay the composed path's numpy calls in the same order and on the same
 memory layouts, so values and gradients are bit-identical to it, and they
-check every intermediate the composed path would have checked.
+raise where it raises. Each scans its output, and an intermediate only where
+the rest could absorb a non-finite value or multiply it by a possible zero,
+so numpy would warn before the raise: the softmax input (exp(-inf) = 0) and
+attention's q, k, v and mixed values. One input now warns before the raise:
+an overflowed product meeting an infinite bias of the other sign.
 
 GELU is the exact, erf-based one. Its erf, `_erf`, is numpy code that
 reproduces scipy.special.erf (cephes) bit for bit, so no part of the
@@ -487,36 +491,26 @@ def mean(a, axis: int | None = None) -> Tensor:
 # layer primitives
 # ---------------------------------------------------------------------------
 
-def _affine(x: np.ndarray, w: np.ndarray, b: np.ndarray, op: str):
-    """(x2, x @ w + b) computed as `matmul` then `add`; the product is checked."""
-    x2, prod = _rows(x, w)
-    return x2, _check(op, prod) + b
-
-
 def _affine_vjp(g, x, x2, w, need_x: bool, need_w: bool, need_b: bool):
-    """(gx, gw, gb) of `_affine` as the `add` and `matmul` VJPs compute them."""
+    """(gx, gw, gb) of `_rows(x, w)` plus b as the `matmul` and `add` VJPs compute them."""
     gb = g.sum(axis=tuple(range(g.ndim - 1))) if need_b else None
     return _rows_vjp(g, x, x2, w, need_x, need_w) + (gb,)
-
-
-def _check_affine(op: str, x: np.ndarray, w: np.ndarray, b: np.ndarray) -> None:
-    if x.ndim < 2 or w.ndim != 2 or x.shape[-1] != w.shape[0] or b.shape != w.shape[1:]:
-        raise ShapeError(f"{op}: cannot apply {w.shape} weights and {b.shape} bias "
-                         f"to {x.shape}")
 
 
 def linear(x, w, b) -> Tensor:
     """x [..., k] @ w [k, m] + b [m]: `add(matmul(x, w), b)` as one node."""
     x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
     dx, dw = x.data, w.data
-    _check_affine("linear", dx, dw, b.data)
-    x2, out = _affine(dx, dw, b.data, "linear")
+    if dx.ndim < 2 or dw.ndim != 2 or dx.shape[-1] != dw.shape[0] or b.shape != dw.shape[1:]:
+        raise ShapeError(f"linear: cannot apply {dw.shape} weights and {b.shape} bias "
+                         f"to {dx.shape}")
+    x2, prod = _rows(dx, dw)
     need = (x.requires_grad, w.requires_grad, b.requires_grad)
 
     def vjp(g):
         return _affine_vjp(g, dx, x2, dw, *need)
 
-    return _emit("linear", (x, w, b), out, vjp)
+    return _emit("linear", (x, w, b), prod + b.data, vjp)
 
 
 def ln_affine(x, g, b) -> Tensor:
@@ -527,7 +521,7 @@ def ln_affine(x, g, b) -> Tensor:
         raise ShapeError(f"ln_affine: cannot apply {dg.shape} gain and {b.shape} bias "
                          f"to {dx.shape}")
     y, inv = _ln(dx)
-    out = _check("ln_affine", _check("ln_affine", y) * dg) + b.data
+    out = y * dg + b.data
     need_x, need_g, need_b = x.requires_grad, g.requires_grad, b.requires_grad
     lead = tuple(range(dx.ndim - 1))
 
@@ -544,8 +538,9 @@ def attention(x, wq, bq, wk, bk, wv, bv, wo, bo, heads: int) -> Tensor:
 
     q, k and v are `linear` projections of x, split into `heads` of
     d / heads; softmax(q k^T / sqrt(d / heads)) mixes v, and (wo, bo)
-    projects the heads back to d. This is the composition of 21 primitives
-    (`linear` counted as matmul and add), with its copies and checks.
+    projects the heads back to d: 21 primitives (`linear` counted as matmul
+    and add) with their copies. It scans q, k, v, the scaled scores, the
+    mixed values and its output.
     """
     x = as_tensor(x)
     params = tuple(as_tensor(t) for t in (wq, bq, wk, bk, wv, bv, wo, bo))
@@ -563,18 +558,18 @@ def attention(x, wq, bq, wk, bk, wv, bv, wo, bo, heads: int) -> Tensor:
     (dwq, dbq, dwk, dbk, dwv, dbv, dwo, dbo) = (t.data for t in params)
 
     def project(w, b):   # [..., heads, n, dh], a C-contiguous copy as `transpose` makes
-        x2, t = _affine(dx, w, b, "attention")
-        t = _check("attention", t).reshape(lead + (n, heads, dh))
+        x2, prod = _rows(dx, w)
+        t = _check("attention", prod + b).reshape(lead + (n, heads, dh))
         return x2, np.ascontiguousarray(np.transpose(t, split))
 
     x2, q = project(dwq, dbq)
     _, k = project(dwk, dbk)
     _, v = project(dwv, dbv)
     kt = np.ascontiguousarray(np.transpose(k, swap))
-    att = _check("attention", _softmax(_check("attention", _check("attention", q @ kt) * c)))
+    att = _softmax(_check("attention", (q @ kt) * c))
     mixed = _check("attention", att @ v)
     ctx = np.ascontiguousarray(np.transpose(mixed, split)).reshape(lead + (n, d))
-    ctx2, out = _affine(ctx, dwo, dbo, "attention")
+    ctx2, prod = _rows(ctx, dwo)
     need_x = x.requires_grad
     need = tuple(t.requires_grad for t in params)
 
@@ -598,7 +593,7 @@ def attention(x, wq, bq, wk, bk, wv, bv, wo, bo, heads: int) -> Tensor:
                 grads[0] = gx if grads[0] is None else grads[0] + gx
         return tuple(grads)
 
-    return _emit("attention", (x,) + params, out, vjp)
+    return _emit("attention", (x,) + params, prod + dbo, vjp)
 
 
 # ---------------------------------------------------------------------------

@@ -63,7 +63,7 @@ def load_checkpoint(path) -> tuple[ParamStore, ModelConfig]:
     if len(raw) < _PREFIX.size + 4 or raw[:4] != MAGIC:
         raise ValueError("not a checkpoint: bad magic")
     (crc_stored,) = struct.unpack("<I", raw[-4:])
-    if zlib.crc32(raw[:-4]) != crc_stored:
+    if zlib.crc32(memoryview(raw)[:-4]) != crc_stored:
         raise ValueError("checkpoint integrity check failed (CRC mismatch)")
     _, version, header_len = _PREFIX.unpack_from(raw)
     if version != VERSION:

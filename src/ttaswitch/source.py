@@ -78,8 +78,9 @@ def train_source(config: m.ModelConfig, num_scenes: int, epochs: int, batch_size
     mean losses per epoch is written alongside it. epochs=0 saves the freshly
     initialized parameters unchanged.
     """
-    if num_scenes < 1 or batch_size < 1 or epochs < 0:
-        raise ValueError("train_source: need num_scenes >= 1, batch_size >= 1, epochs >= 0")
+    if num_scenes < 1 or batch_size < 1 or epochs < 0 or not 0.0 < lr < np.inf:
+        raise ValueError("train_source: need num_scenes >= 1, batch_size >= 1, epochs >= 0 "
+                         f"and a finite lr > 0, got lr={lr}")
     optimizer = Optimizer(optimizer_kind)   # both refuse bad input before out_dir exists
     scenes = make_source_scenes(config, num_scenes, seed)
     out_dir = Path(out_dir)

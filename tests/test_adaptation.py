@@ -363,11 +363,19 @@ def test_fixed_decision_matches_constant_decision_fn(trained, monkeypatch, fixed
     assert engine.shift_state.mean.tobytes() == reference.shift_state.mean.tobytes()
 
 
-def test_fixed_decision_validation(trained):
+def test_fixed_decision_validation(trained, monkeypatch):
     with pytest.raises(ValueError, match="fixed_decision"):
         fresh_engine(trained, fixed_decision=SKIP)
     with pytest.raises(ValueError, match="not both"):
         fresh_engine(trained, fixed_decision=ET, decision_fn=decide_shift)
+    # a learning rate that is not finite and positive, or a negative mask
+    # seed, is refused before a teacher is cloned, as `RunConfig` refuses them
+    params, config = trained
+    monkeypatch.setattr(ParamStore, "clone", lambda self: pytest.fail("cloned a teacher"))
+    for kw in ({"lr": math.nan}, {"lr": math.inf}, {"lr": 0.0}, {"lr": -1e-3},
+               {"mask_seed": -1}):
+        with pytest.raises(ValueError, match="lr > 0 and mask_seed >= 0"):
+            AdaptationEngine(params, config, **kw)
 
 
 def assert_same_report(got: StepReport, want: StepReport, i: int) -> None:

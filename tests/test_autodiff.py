@@ -651,6 +651,22 @@ def test_layer_primitives_raise_where_composed_path_raises():
             fused_verdicts = [_raises_nonfinite(fused[name], arrays) for arrays in arrays_list]
         assert verdicts[0] is False and all(verdicts[1:]), (name, verdicts)
         assert fused_verdicts == verdicts, name
+    # Parameters blown up in place, as a diverged update leaves them, over
+    # inputs with no zeros and outside any errstate, so a RuntimeWarning is an
+    # error. Each raises under its op's name. Were q, k, v and the mixed values
+    # not scanned, an infinite bias would meet mixed signs in a later product
+    # and numpy would warn first.
+    w = [rng.normal(size=(8, 8)) if i % 2 == 0 else rng.normal(size=8) for i in range(8)]
+    blown = {"linear": ([x, w[0][:, :6], w[1][:6]], [(2, ...)]),   # b
+             "ln_affine": ([x, w[1], w[3]], [(1, ...)]),           # g
+             "attention": ([x] + w, [(2, ...), (6, ...), (7, 0)])}   # bq, bv, a row of wo
+    for name, (arrays, spots) in blown.items():
+        for i, spot in spots:
+            for op, match in ((composed[name], None), (fused[name], f"^{name}: ")):
+                tensors = [Tensor(a.copy()) for a in arrays]
+                tensors[i].data[spot] = np.inf
+                with pytest.raises(NonFiniteError, match=match):
+                    op(*tensors)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import csv
 import gc
+import math
 import platform
 
 import numpy as np
@@ -141,13 +142,18 @@ def test_steps_reuse_freed_tape_memory():
     assert faults < 200, faults
 
 
-@pytest.mark.parametrize("config, optimizer_kind", [
-    (ModelConfig(num_classes=9), "adam"),   # more classes than the scene palette
-    (TINY, "lion"),
+@pytest.mark.parametrize("config, optimizer_kind, lr", [
+    pytest.param(ModelConfig(num_classes=9), "adam", 1e-3,   # more classes than the palette
+                 id="config0-adam"),
+    pytest.param(TINY, "lion", 1e-3, id="config1-lion"),
+    pytest.param(TINY, "adam", math.nan, id="lr-nan"),
+    pytest.param(TINY, "adam", math.inf, id="lr-inf"),
+    pytest.param(TINY, "adam", 0.0, id="lr-zero"),
+    pytest.param(TINY, "adam", -1e-3, id="lr-negative"),
 ])
-def test_train_refuses_bad_input_before_writing(tmp_path, config, optimizer_kind):
+def test_train_refuses_bad_input_before_writing(tmp_path, config, optimizer_kind, lr):
     with pytest.raises(ValueError):
-        train_source(config, num_scenes=2, epochs=1, batch_size=2, lr=1e-3, seed=0,
+        train_source(config, num_scenes=2, epochs=1, batch_size=2, lr=lr, seed=0,
                      out_dir=tmp_path / "out", optimizer_kind=optimizer_kind)
     assert not (tmp_path / "out").exists()
 
