@@ -2,18 +2,16 @@
 
 Generates a scene, applies each corruption at increasing severity, checks
 that corruption moves pixels but never patch labels, then shows the cyclic
-target stream and its manifest-based byte-exact replay.
+target stream and its byte-exact rebuild from the same arguments, which a
+run's config_echo.cfg records.
 """
 import itertools
-import tempfile
-from pathlib import Path
 
 import numpy as np
 
 from ttaswitch.model import ModelConfig
 from ttaswitch.streams import (CORRUPTIONS, CorruptionSpec, apply_corruption,
-                               build_stream, generate_scene, stream_from_manifest,
-                               stream_manifest, write_manifest)
+                               build_stream, generate_scene)
 
 cfg = ModelConfig(image_size=32, patch_size=4, num_classes=5)   # scenes read only these
 scene = generate_scene(seed=42, config=cfg)
@@ -45,14 +43,11 @@ for rnd, group in itertools.groupby(instances, key=lambda i: i.round):
     seq = [i.domain for i in group]
     print(f"  round {rnd}: {' '.join(seq)}")
 
-with tempfile.TemporaryDirectory() as tmp:
-    manifest = write_manifest(stream_manifest(**stream_args),
-                              Path(tmp) / "manifest.csv")
-    replayed = list(stream_from_manifest(manifest, cfg, severity=0.8))
-    assert len(replayed) == len(instances)
-    for a, b in zip(instances, replayed):
-        assert a.t == b.t and a.domain == b.domain and a.scene_seed == b.scene_seed
-        assert np.array_equal(a.image, b.image)
-        assert np.array_equal(a.labels, b.labels)
-print("manifest replay reproduces every instance byte-for-byte - "
-      "streams are fully auditable")
+rebuilt = list(build_stream(cfg, severity=0.8, **stream_args))
+assert len(rebuilt) == len(instances)
+for a, b in zip(instances, rebuilt):
+    assert a.t == b.t and a.domain == b.domain and a.scene_seed == b.scene_seed
+    assert a.image.tobytes() == b.image.tobytes()
+    assert np.array_equal(a.labels, b.labels)
+print("rebuilding from the same arguments reproduces every instance byte for byte - "
+      "a run's config_echo.cfg is its replay record")

@@ -22,8 +22,7 @@ from .model import (ModelConfig, PatchMask, apply_mask, draw_mask, encode, init_
 from .params import GROUPS, ParamStore
 from .source import SourceBatch, make_source_scenes, source_step, train_source
 from .streams import (CORRUPTIONS, CorruptionSpec, Scene, StreamInstance,
-                      apply_corruption, build_stream, generate_scene,
-                      stream_from_manifest, stream_manifest, write_manifest)
+                      apply_corruption, build_stream, generate_scene)
 
 __version__ = "0.1.0"
 
@@ -38,6 +37,5 @@ __all__ = [
     "insert_adapters", "load_checkpoint", "load_config", "make_source_scenes",
     "measure_throughput", "parse_config_text", "predict",
     "recording", "round_summary", "run_experiment", "run_mode_comparison",
-    "save_checkpoint", "source_step", "stream_from_manifest", "stream_manifest",
-    "train_source", "update_threshold", "write_manifest",
+    "save_checkpoint", "source_step", "train_source", "update_threshold",
 ]

@@ -1,4 +1,4 @@
-"""Command-line entry points: train-source, gen-stream, adapt, eval."""
+"""Command-line entry points: train-source, adapt, eval."""
 from __future__ import annotations
 
 import argparse
@@ -8,7 +8,6 @@ from pathlib import Path
 
 from .harness import load_config, run_experiment
 from .source import train_source
-from .streams import stream_manifest, write_manifest
 
 
 def _add_common(sub, needs_checkpoint: bool):
@@ -31,8 +30,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     _add_common(sub.add_parser("train-source",
                                help="train on the synthetic source domain"), False)
-    _add_common(sub.add_parser("gen-stream",
-                               help="write the target-stream manifest CSV"), False)
     _add_common(sub.add_parser("adapt",
                                help="adapt over the corrupted stream"), True)
     _add_common(sub.add_parser("eval",
@@ -57,13 +54,6 @@ def main(argv=None) -> int:
                             cfg.batch_size, cfg.lr_source, cfg.seed, out,
                             optimizer_kind=cfg.optimizer, log_every=5)
         print(f"checkpoint written: {path}")
-        return 0
-
-    if args.command == "gen-stream":
-        rows = stream_manifest(cfg.domains, cfg.per_domain, cfg.rounds, cfg.seed)
-        out.mkdir(parents=True, exist_ok=True)
-        path = write_manifest(rows, out / "stream_manifest.csv")
-        print(f"manifest written: {path} ({len(rows)} instances)")
         return 0
 
     if args.command == "eval":

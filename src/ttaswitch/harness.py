@@ -9,9 +9,10 @@ constructed directly. Besides the `ModelConfig` checks, which refuse a
 value of another kind than its field's default in any field (so the echo
 parses back), it refuses an unknown mode, optimizer or domain, repeated
 domains, counts out of range, a severity, alpha or alpha_l outside
-[0, 1], a learning rate that is not finite and positive, a negative seed
-and more classes than the scene palette, so an invalid run is refused
-before anything is written. So is a checkpoint that does not fit the
+[0, 1], a learning rate that is not finite and positive, a negative seed,
+more classes than the scene palette and an out_dir that is empty, padded
+or holds a ``#`` or a line break, so an invalid run is refused before
+anything is written. So is a checkpoint that does not fit the
 config, one without adapters included: `run_experiment` builds its
 engine, which checks the layout, before it creates the output directory.
 The effective configuration is echoed into the output directory,
@@ -101,6 +102,10 @@ class RunConfig(ModelConfig):
         if self.num_classes > MAX_CLASSES:
             raise ValueError(f"num_classes {self.num_classes} exceeds the scene palette "
                              f"({MAX_CLASSES} classes)")
+        if (len(self.out_dir.splitlines()) != 1 or "#" in self.out_dir
+                or self.out_dir != self.out_dir.strip()):   # else the echo cannot parse back
+            raise ValueError(f"out_dir must be one non-empty line with no '#' and no "
+                             f"outer whitespace, got {self.out_dir!r}")
 
 
 def _parse_value(key: str, raw: str, kind: type, lineno: int):
@@ -139,7 +144,7 @@ def parse_config_text(text: str) -> RunConfig:
 
 def load_config(path) -> RunConfig:
     path = Path(path)
-    if not path.exists():
+    if not path.is_file():
         raise FileNotFoundError(f"config file not found: {path}")
     return parse_config_text(path.read_text())
 

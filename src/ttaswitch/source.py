@@ -40,8 +40,9 @@ def source_step(batch: SourceBatch, params: ParamStore, config: m.ModelConfig,
                 optimizer: Optimizer, lr: float, mask_seed: int, step: int):
     """One optimization step over a batch; returns (loss_total, loss_seg, loss_rec).
 
-    Per-image masks are drawn from (mask_seed, step * batch_size + i), so the
-    mask sequence depends only on position in the run, not batch composition.
+    Image i's mask is drawn from (mask_seed, step * len(batch) + i). With full
+    batches that is its position in the run; a short batch repeats keys of the
+    one before it (8 scenes at batch 3 draw keys 0-5, then 4 and 5 again).
     The total is formed by a single addition of the two mean loss terms.
     """
     n_img = len(batch.images)

@@ -13,9 +13,7 @@ stream cannot be rewound.
 """
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -231,9 +229,10 @@ def build_stream(config: ModelConfig, domains, per_domain: int, rounds: int, see
                  severity: float = 0.8):
     """Single-pass iterator over rounds x domains x per_domain instances.
 
-    Renders the rows of `stream_manifest` in order. Rounds are 0-indexed.
-    Instance t of the default 4-domain, 40-per-domain stream therefore lands
-    in round t // 160.
+    Rounds are 0-indexed: instance t of the default 4 x 40 stream is in round
+    t // 160. It renders scene `child_seed(seed, t)`; every seed is drawn at
+    the call, so a bad seed is refused there. A run's config_echo.cfg holds
+    every argument, so parsing it and calling this replays the run's input.
     """
     domains = list(domains)
     if not domains:
@@ -242,46 +241,8 @@ def build_stream(config: ModelConfig, domains, per_domain: int, rounds: int, see
         CorruptionSpec(kind=d, severity=severity)  # validates kind and severity
     if per_domain < 1 or rounds < 1:
         raise ValueError("build_stream: per_domain and rounds must be >= 1")
-    return _render_rows(stream_manifest(domains, per_domain, rounds, seed), config, severity)
-
-
-MANIFEST_COLUMNS = ("t", "domain", "round", "scene_seed")
-
-
-def stream_manifest(domains, per_domain: int, rounds: int, seed: int) -> list[dict]:
-    """Manifest rows without rendering any pixels."""
-    rows = []
-    t = 0
-    for rnd in range(rounds):
-        for domain in list(domains):
-            for _ in range(per_domain):
-                rows.append({"t": t, "domain": domain, "round": rnd,
-                             "scene_seed": child_seed(seed, t)})
-                t += 1
-    return rows
-
-
-def write_manifest(rows, path) -> Path:
-    path = Path(path)
-    with path.open("w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=MANIFEST_COLUMNS)
-        writer.writeheader()
-        writer.writerows(rows)
-    return path
-
-
-def stream_from_manifest(path, config: ModelConfig, severity: float = 0.8):
-    """Replay a stream byte-exactly from its manifest."""
-    with Path(path).open() as fh:
-        reader = csv.DictReader(fh)
-        if tuple(reader.fieldnames or ()) != MANIFEST_COLUMNS:
-            raise ValueError(f"manifest columns must be {MANIFEST_COLUMNS}")
-        rows = list(reader)
-    return _render_rows(rows, config, severity)
-
-
-def _render_rows(rows, config: ModelConfig, severity: float):
-    """Single-pass iterator rendering manifest rows (ints or their CSV text)."""
-    return (_render_instance(config, int(row["scene_seed"]), row["domain"], int(row["round"]),
-                             int(row["t"]), severity)
-            for row in rows)
+    schedule = [(rnd, domain) for rnd in range(rounds) for domain in domains
+                for _ in range(per_domain)]
+    scene_seeds = [child_seed(seed, t) for t in range(len(schedule))]
+    return (_render_instance(config, scene_seeds[t], domain, rnd, t, severity)
+            for t, (rnd, domain) in enumerate(schedule))

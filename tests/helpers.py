@@ -11,11 +11,14 @@ import struct
 import weakref
 import zlib
 from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 
 from ttaswitch.autodiff import Tape
 from ttaswitch.checkpoint import VERSION
+from ttaswitch.harness import load_config
+from ttaswitch.streams import build_stream
 
 
 def fd_gradient(f, arrays: dict[str, np.ndarray], wrt: str, h: float = 1e-5) -> np.ndarray:
@@ -52,6 +55,13 @@ def make_fake_clock(tick: float = 0.001):
         return state["t"]
 
     return clock
+
+
+def replay_stream(run_dir) -> tuple:
+    """(config, stream) of a run, rebuilt from its config_echo.cfg alone."""
+    cfg = load_config(Path(run_dir) / "config_echo.cfg")
+    return cfg, list(build_stream(cfg.model_config(), cfg.domains, cfg.per_domain,
+                                  cfg.rounds, cfg.seed, cfg.severity))
 
 
 def write_raw_checkpoint(path, header: bytes, payload: bytes = b"", version: int = VERSION):

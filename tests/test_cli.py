@@ -1,5 +1,6 @@
 import pytest
 
+from helpers import replay_stream
 from ttaswitch.cli import build_parser, main
 
 TINY_CFG = """
@@ -33,7 +34,7 @@ def workdir(tmp_path_factory):
 def test_parser_has_all_subcommands():
     parser = build_parser()
     sub = next(a for a in parser._actions if hasattr(a, "choices") and a.choices)
-    assert set(sub.choices) == {"train-source", "gen-stream", "adapt", "eval"}
+    assert set(sub.choices) == {"train-source", "adapt", "eval"}
 
 
 def test_train_source_outputs(workdir, capsys):
@@ -43,27 +44,20 @@ def test_train_source_outputs(workdir, capsys):
         "epoch,loss_total,loss_seg,loss_rec")
 
 
-def test_gen_stream(workdir, capsys):
-    root, cfg = workdir
-    assert main(["gen-stream", "--config", str(cfg), "--out", str(root / "m")]) == 0
-    lines = (root / "m" / "stream_manifest.csv").read_text().splitlines()
-    assert lines[0] == "t,domain,round,scene_seed"
-    assert len(lines) == 1 + 4
-    assert "4 instances" in capsys.readouterr().out
-
-
 def assert_usage_error(capsys, reason: str) -> None:
     """The last line on stderr is argparse's one-line error, holding `reason`."""
     last = capsys.readouterr().err.splitlines()[-1]
     assert last.startswith("ttaswitch: error: ") and reason in last
 
 
-def test_gen_stream_refuses_unknown_domain(tmp_path, capsys):
+def test_train_source_refuses_bad_config(tmp_path, capsys):
     cfg = tmp_path / "typo.cfg"
     cfg.write_text(TINY_CFG.replace("domains = fog,night", "domains = fog,fgo"))
-    for path, reason in ((cfg, "fgo"), (tmp_path / "missing.cfg", "config file not found")):
+    (tmp_path / "a_dir.cfg").mkdir()
+    for path, reason in ((cfg, "fgo"), (tmp_path / "missing.cfg", "config file not found"),
+                         (tmp_path / "a_dir.cfg", "config file not found")):
         with pytest.raises(SystemExit) as exit_info:
-            main(["gen-stream", "--config", str(path), "--out", str(tmp_path / "m")])
+            main(["train-source", "--config", str(path), "--out", str(tmp_path / "m")])
         assert exit_info.value.code == 2
         assert_usage_error(capsys, reason)
         assert not (tmp_path / "m").exists()
@@ -87,13 +81,16 @@ def test_adapt_and_eval(workdir, capsys):
 
 def test_seed_override_changes_stream(workdir):
     root, cfg = workdir
-    assert main(["gen-stream", "--config", str(cfg), "--seed", "99",
-                 "--out", str(root / "m99")]) == 0
-    base = (root / "m" / "stream_manifest.csv").read_text()
-    alt = (root / "m99" / "stream_manifest.csv").read_text()
-    assert base != alt
-    echoless = lambda text: [l for l in text.splitlines() if not l.startswith("t,")]
-    assert len(echoless(base)) == len(echoless(alt))
+    ckpt = root / "src" / "source.htta"
+    streams = []
+    for name, seed_args in (("base", []), ("s99", ["--seed", "99"])):
+        assert main(["eval", "--config", str(cfg), "--checkpoint", str(ckpt),
+                     "--out", str(root / name)] + seed_args) == 0
+        streams.append(replay_stream(root / name)[1])
+    base, alt = streams
+    assert len(base) == len(alt) == 4
+    assert [(i.t, i.domain, i.round) for i in base] == [(i.t, i.domain, i.round) for i in alt]
+    assert all(a.image.tobytes() != b.image.tobytes() for a, b in zip(base, alt))
 
 
 def test_missing_checkpoint_fails(workdir):

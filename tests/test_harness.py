@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from helpers import make_fake_clock, write_unchecked_checkpoint
+from helpers import make_fake_clock, replay_stream, write_unchecked_checkpoint
 from ttaswitch.checkpoint import save_checkpoint
 from ttaswitch.harness import (MODES, PER_INSTANCE_COLUMNS, ROUND_SUMMARY_COLUMNS,
                                RunConfig, format_config, load_config,
@@ -134,6 +134,10 @@ def test_config_semantic_validation():
         ModelConfig(depth=2.0)
     with pytest.raises(ValueError, match="adapter_scale must be float"):
         replace(ModelConfig(), adapter_scale=None)
+    # an out_dir the echo would not parse back as itself
+    for out_dir in ("runs/#1", " runs/x ", "", "a\nmode = ft-only"):
+        with pytest.raises(ValueError, match="out_dir must be"):
+            RunConfig(out_dir=out_dir)
     assert RunConfig(alpha=1).alpha == 1   # an int is a float's kind
     assert RunConfig(num_classes=8).model_config().num_classes == 8
 
@@ -141,6 +145,8 @@ def test_config_semantic_validation():
 def test_load_config_missing_file(tmp_path):
     with pytest.raises(FileNotFoundError):
         load_config(tmp_path / "nope.cfg")
+    with pytest.raises(FileNotFoundError):
+        load_config(tmp_path)   # a directory is not a config file
 
 
 # ---------------------------------------------------------------------------
@@ -162,6 +168,16 @@ def test_hybrid_run_artifacts_and_schema(checkpoint, tmp_path):
     assert result.rows[0]["decision"] == "FT"
     assert 0.0 <= result.mean_miou <= 1.0
     assert result.ft_count + result.et_count == 12
+
+
+def test_echoed_config_replays_the_run(checkpoint, tmp_path):
+    cfg = tiny_cfg(severity=0.7, out_dir="runs/tiny replay")
+    run_experiment(cfg, checkpoint, tmp_path / "run", clock=make_fake_clock())
+    echo, stream = replay_stream(tmp_path / "run")
+    assert echo == cfg
+    rows = read_per_instance_csv(tmp_path / "run" / "per_instance.csv")
+    assert [(i.t, i.domain, i.round) for i in stream] == [
+        (r["t"], r["domain"], r["round"]) for r in rows]
 
 
 def test_round_summary_recomputable_from_csv(checkpoint, tmp_path):

@@ -1,10 +1,15 @@
-"""The default run path imports no scipy.
+"""How the package imports.
 
-GELU's erf and the rain blur are numpy code, and `model` imports
-`ndimage` only for variable-resolution inference, so a source step and a
-hybrid run must leave `sys.modules` free of scipy. A fresh interpreter is
-needed: other tests import scipy as a reference.
+The default run path imports no scipy. GELU's erf and the rain blur are
+numpy code, and `model` imports `ndimage` only for variable-resolution
+inference, so a source step and a hybrid run must leave `sys.modules` free
+of scipy. A fresh interpreter is needed: other tests import scipy as a
+reference.
+
+Every module imports its siblings relatively, so two copies of the tree
+can load side by side under different package names in one process.
 """
+import ast
 import os
 import subprocess
 import sys
@@ -39,3 +44,20 @@ def test_source_step_and_hybrid_run_import_no_scipy(tmp_path):
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr[-2000:]
     assert proc.stdout.strip() == "[]"
+
+
+def test_package_imports_itself_only_relatively():
+    paths = sorted((SRC / "ttaswitch").glob("*.py"))
+    assert paths
+    absolute = []
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            absolute += [f"{path.name}:{node.lineno} {name}" for name in names
+                         if name.split(".")[0] == "ttaswitch"]
+    assert absolute == []

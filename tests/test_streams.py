@@ -3,9 +3,8 @@ import pytest
 
 from ttaswitch.model import ModelConfig
 from ttaswitch.streams import (CORRUPTIONS, MAX_CLASSES, CorruptionSpec, apply_corruption,
-                               _box_blur, build_stream, generate_scene,
-                               majority_patch_labels, stream_from_manifest, stream_manifest,
-                               write_manifest)
+                               _box_blur, build_stream, child_seed, generate_scene,
+                               majority_patch_labels)
 
 SPEC = ModelConfig(image_size=16, patch_size=4, num_classes=5)
 
@@ -160,13 +159,15 @@ def test_corruption_validation():
 # ---------------------------------------------------------------------------
 
 def test_default_stream_schedule():
-    rows = stream_manifest(CORRUPTIONS, per_domain=40, rounds=3, seed=0)
+    stream = list(build_stream(SPEC, CORRUPTIONS, per_domain=40, rounds=3, seed=0))
+    rows = [(i.t, i.domain, i.round) for i in stream]
     assert len(rows) == 480
-    assert rows[0] == {"t": 0, "domain": "fog", "round": 0, "scene_seed": rows[0]["scene_seed"]}
-    assert rows[159]["domain"] == "snow" and rows[159]["round"] == 0
-    assert rows[160]["domain"] == "fog" and rows[160]["round"] == 1
-    assert rows[479]["domain"] == "snow" and rows[479]["round"] == 2
-    assert [r["t"] for r in rows] == list(range(480))
+    assert rows[0] == (0, "fog", 0)
+    assert rows[159] == (159, "snow", 0)
+    assert rows[160] == (160, "fog", 1)
+    assert rows[479] == (479, "snow", 2)
+    assert [t for t, _, _ in rows] == list(range(480))
+    assert all(i.scene_seed == child_seed(0, i.t) for i in stream)
 
 
 def test_stream_order_determinism_and_single_pass():
@@ -192,18 +193,6 @@ def test_stream_labels_match_clean_scene():
         assert not np.array_equal(inst.image, clean.image)  # pixels corrupted
 
 
-def test_manifest_replay_is_byte_identical(tmp_path):
-    rows = stream_manifest(("fog", "snow"), per_domain=3, rounds=2, seed=21)
-    path = write_manifest(rows, tmp_path / "stream.csv")
-    direct = list(build_stream(SPEC, ("fog", "snow"), per_domain=3, rounds=2, seed=21))
-    replayed = list(stream_from_manifest(path, SPEC))
-    assert len(direct) == len(replayed) == 12
-    for x, y in zip(direct, replayed):
-        assert x.image.tobytes() == y.image.tobytes()
-        assert np.array_equal(x.labels, y.labels)
-        assert (x.t, x.domain, x.round, x.scene_seed) == (y.t, y.domain, y.round, y.scene_seed)
-
-
 def test_stream_validation():
     with pytest.raises(ValueError, match="at least one domain"):
         build_stream(SPEC, (), 1, 1, 0)
@@ -213,13 +202,8 @@ def test_stream_validation():
         build_stream(SPEC, ("clean",), 1, 1, 0)
     with pytest.raises(ValueError, match=">= 1"):
         build_stream(SPEC, ("fog",), 0, 1, 0)
-
-
-def test_manifest_bad_columns_rejected(tmp_path):
-    path = tmp_path / "bad.csv"
-    path.write_text("a,b\n1,2\n")
-    with pytest.raises(ValueError, match="manifest columns"):
-        stream_from_manifest(path, SPEC)
+    with pytest.raises(ValueError, match="non-negative"):   # at the call, not on first next
+        build_stream(SPEC, ("fog",), 1, 1, -1)
 
 
 def test_two_class_scenes_hold_one_object():
