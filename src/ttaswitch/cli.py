@@ -45,20 +45,21 @@ def main(argv=None) -> int:
         cfg = load_config(args.config)
         if args.seed is not None:
             cfg = replace(cfg, seed=args.seed)
+        if args.out is not None:
+            cfg = replace(cfg, out_dir=str(args.out))
     except (ValueError, FileNotFoundError) as e:
         parser.error(str(e))
-    out = args.out if args.out is not None else Path(cfg.out_dir)
 
     if args.command == "train-source":
         path = train_source(cfg, cfg.source_scenes, cfg.source_epochs,
-                            cfg.batch_size, cfg.lr_source, cfg.seed, out,
+                            cfg.batch_size, cfg.lr_source, cfg.seed, cfg.out_dir,
                             optimizer_kind=cfg.optimizer, log_every=5)
         print(f"checkpoint written: {path}")
         return 0
 
     if args.command == "eval":
         cfg = replace(cfg, mode="no-adapt")
-    result = run_experiment(cfg, args.checkpoint, out)
+    result = run_experiment(cfg, args.checkpoint)
     print((result.out_dir / "summary.txt").read_text(), end="")
     return 0
 

@@ -210,16 +210,19 @@ def run_experiment(cfg: RunConfig, checkpoint_path, out_dir=None,
     """Stream the corrupted instances through one adaptation mode.
 
     Writes config_echo.cfg, per_instance.csv, round_summary.csv, and
-    summary.txt under out_dir (default: cfg.out_dir). The evaluated
-    prediction for each instance is the teacher's output on the unmasked
-    image, computed before that instance's update.
+    summary.txt under out_dir (default: cfg.out_dir); the echo records the
+    directory written. The evaluated prediction for each instance is the
+    teacher's output on the unmasked image, computed before that
+    instance's update.
     """
+    if out_dir is not None:   # refused here, before anything is read or written
+        cfg = replace(cfg, out_dir=str(out_dir))
     params, expected = _load_matching(cfg, checkpoint_path)
     engine = AdaptationEngine(params, expected, lr=cfg.lr_tta, alpha=cfg.alpha,
                               alpha_l=cfg.alpha_l, optimizer_kind=cfg.optimizer,
                               fixed_decision=_FIXED_DECISIONS.get(cfg.mode),
                               mask_seed=cfg.seed, clock=clock)
-    out_dir = Path(out_dir) if out_dir is not None else Path(cfg.out_dir)
+    out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "config_echo.cfg").write_text(format_config(cfg))
     stream = build_stream(expected, cfg.domains, cfg.per_domain, cfg.rounds,

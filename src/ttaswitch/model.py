@@ -14,7 +14,8 @@ replaces whole patches with a learnable mask token at input-pixel level.
 training scores it against true labels, test-time adaptation against the
 teacher's pseudo-labels.
 
-Images are `[..., c, h, w]`: the masking helpers, the encoder, the
+Images are `[..., c, h, w]` at the configured size, the one grid the
+position embeddings cover. The masking helpers, the encoder, the
 reconstruction decoder and `masked_losses` take one image `[c, h, w]` or
 a batch `[B, c, h, w]` with one optional leading axis, so source training
 records one tape per batch. A single image takes no op that a batch
@@ -338,39 +339,19 @@ def _block(x, params: ParamStore, config: ModelConfig, i: int) -> Tensor:
     return add(x, m if a is None else add(m, a))
 
 
-def _pos_embed_for_grid(params: ParamStore, config: ModelConfig, grid: int) -> Tensor:
-    pos = params["pos_embed"]
-    if grid == config.grid:
-        return pos
-    if tape_active():
-        raise ValueError("variable input size is inference-only (no tape may be active)")
-    from scipy import ndimage   # only this path needs scipy, so the default run never imports it
-    g0, d = config.grid, config.embed_dim
-    field2d = pos.data.reshape(g0, g0, d)
-    z = grid / g0
-    resized = ndimage.zoom(field2d, (z, z, 1.0), order=1, grid_mode=True, mode="nearest")
-    return Tensor(resized.reshape(grid * grid, d))
-
-
 def encode(x, params: ParamStore, config: ModelConfig) -> Tensor:
     """Images [..., c, h, w] -> patch features [..., num_patches, embed_dim].
 
-    h == w and divisibility by the patch size are required. Inputs at a
-    different resolution than the config are accepted only outside of a
-    recording tape (position embeddings are bilinearly resized).
+    Images must be the configured size: the position embeddings cover one
+    grid.
     """
     x = as_tensor(x)
-    if x.ndim not in (3, 4) or x.shape[-3] != CHANNELS:
-        raise ValueError(f"encode: expected [..., {CHANNELS}, h, w], got {x.shape}")
-    if x.shape[-2] != x.shape[-1]:
-        raise ValueError(f"encode: image must be square, got {x.shape}")
-    if x.shape[-1] % config.patch_size:
-        raise ValueError(f"encode: size {x.shape[-1]} not divisible by patch "
-                         f"{config.patch_size}")
-    grid = x.shape[-1] // config.patch_size
+    size = config.image_size
+    if x.shape[-3:] != (CHANNELS, size, size):
+        raise ValueError(f"encode: expected [..., {CHANNELS}, {size}, {size}], got {x.shape}")
     tokens = linear(patchify(x, config.patch_size), params["patch_embed.w"],
                     params["patch_embed.b"])
-    h = add(tokens, _pos_embed_for_grid(params, config, grid))
+    h = add(tokens, params["pos_embed"])
     for i in range(config.depth):
         try:
             h = _block(h, params, config, i)
@@ -386,10 +367,7 @@ def seg_decode(z, params: ParamStore, config: ModelConfig) -> Tensor:
 
 def rec_decode(z, params: ParamStore, config: ModelConfig) -> Tensor:
     """Per-pixel reconstruction [..., c, h, w] from patch features."""
-    z = as_tensor(z)
     tokens = linear(z, params["rec_head.w"], params["rec_head.b"])
-    if z.shape[-2] != config.num_patches:
-        raise ValueError("rec_decode: token count does not match config grid")
     return unpatchify(tokens, config.image_size, config.patch_size)
 
 

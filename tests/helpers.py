@@ -12,6 +12,7 @@ import weakref
 import zlib
 from dataclasses import asdict
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -79,18 +80,23 @@ def write_unchecked_checkpoint(path, params, config):
                                 b"".join(params[n].data.tobytes() for n in params.names()))
 
 
-def track_tapes(monkeypatch, owner) -> weakref.WeakSet:
-    """Patch `owner.Tape` to record each new tape; the set holds those still alive.
+def track_tapes(monkeypatch, owner) -> SimpleNamespace:
+    """Patch `owner.Tape` to record each new tape.
 
-    With the cyclic GC disabled, a tape left holding its nodes stays alive
-    through the tape -> node -> tensor -> tape cycle.
+    `created` counts the tapes made through the patched name, and `alive`
+    holds those still alive. A step that made its tape some other way
+    leaves `created` unchanged, so a test asserts that it grew before it
+    reads an empty `alive` as released. With the cyclic GC disabled, a tape
+    left holding its nodes stays alive through the tape -> node -> tensor ->
+    tape cycle.
     """
-    tapes = weakref.WeakSet()
+    log = SimpleNamespace(created=0, alive=weakref.WeakSet())
 
     class TrackedTape(Tape):
         def __init__(self):
             super().__init__()
-            tapes.add(self)
+            log.created += 1
+            log.alive.add(self)
 
     monkeypatch.setattr(owner, "Tape", TrackedTape)
-    return tapes
+    return log

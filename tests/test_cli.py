@@ -111,6 +111,20 @@ def test_negative_seed_refused_before_writing(workdir, capsys):
     assert not (root / "negative").exists()
 
 
+def test_out_is_echoed_and_checked(workdir, capsys):
+    root, cfg = workdir
+    ckpt = str(root / "src" / "source.htta")
+    assert main(["eval", "--config", str(cfg), "--checkpoint", ckpt,
+                 "--out", str(root / "echoed")]) == 0
+    assert replay_stream(root / "echoed")[0].out_dir == str(root / "echoed")
+    with pytest.raises(SystemExit) as exit_info:   # the echo could not hold it
+        main(["eval", "--config", str(cfg), "--checkpoint", ckpt,
+              "--out", str(root / "runs#1")])
+    assert exit_info.value.code == 2
+    assert_usage_error(capsys, "out_dir must be")
+    assert not (root / "runs#1").exists()
+
+
 def test_required_flags():
     with pytest.raises(SystemExit):
         main(["adapt", "--out", "/tmp/x"])      # --config missing

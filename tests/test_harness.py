@@ -171,13 +171,18 @@ def test_hybrid_run_artifacts_and_schema(checkpoint, tmp_path):
 
 
 def test_echoed_config_replays_the_run(checkpoint, tmp_path):
-    cfg = tiny_cfg(severity=0.7, out_dir="runs/tiny replay")
-    run_experiment(cfg, checkpoint, tmp_path / "run", clock=make_fake_clock())
-    echo, stream = replay_stream(tmp_path / "run")
-    assert echo == cfg
-    rows = read_per_instance_csv(tmp_path / "run" / "per_instance.csv")
+    cfg = tiny_cfg(severity=0.7, out_dir="runs/elsewhere")
+    run_dir = tmp_path / "tiny replay"
+    run_experiment(cfg, checkpoint, run_dir, clock=make_fake_clock())
+    echo, stream = replay_stream(run_dir)
+    assert echo == replace(cfg, out_dir=str(run_dir))   # the directory written
+    rows = read_per_instance_csv(run_dir / "per_instance.csv")
     assert [(i.t, i.domain, i.round) for i in stream] == [
         (r["t"], r["domain"], r["round"]) for r in rows]
+    # a directory the echo could not hold is refused before the checkpoint loads
+    with pytest.raises(ValueError, match="out_dir must be"):
+        run_experiment(cfg, tmp_path / "missing.htta", tmp_path / "run#1")
+    assert not (tmp_path / "run#1").exists()
 
 
 def test_round_summary_recomputable_from_csv(checkpoint, tmp_path):
@@ -232,14 +237,15 @@ def test_mode_lattice_shared_path(checkpoint, tmp_path):
 
 def test_reruns_are_byte_identical(checkpoint, tmp_path):
     for mode in ("hybrid", "no-adapt"):
-        a = run_experiment(tiny_cfg(mode=mode), checkpoint, tmp_path / f"{mode}_a",
-                           clock=make_fake_clock())
-        b = run_experiment(tiny_cfg(mode=mode), checkpoint, tmp_path / f"{mode}_b",
-                           clock=make_fake_clock())
-        for name in ("per_instance.csv", "round_summary.csv", "summary.txt",
-                     "config_echo.cfg"):
+        cfg = tiny_cfg(mode=mode)
+        a, b = (run_experiment(cfg, checkpoint, tmp_path / f"{mode}_{run}",
+                               clock=make_fake_clock()) for run in "ab")
+        for name in ("per_instance.csv", "round_summary.csv", "summary.txt"):
             assert (a.out_dir / name).read_bytes() == (b.out_dir / name).read_bytes(), \
                 (mode, name)
+        for run in (a, b):   # each echo differs only in the directory it names
+            assert (run.out_dir / "config_echo.cfg").read_text() == \
+                format_config(replace(cfg, out_dir=str(run.out_dir)))
 
 
 def test_throughput_contract(checkpoint, tmp_path):

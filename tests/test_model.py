@@ -269,16 +269,13 @@ def test_encode_shape_errors():
         encode(np.zeros((3, 8, 12)), store, cfg)
     with pytest.raises(ValueError):
         encode(np.zeros((3, 10, 10)), store, cfg)
-
-
-def test_variable_size_inference_only():
-    cfg = TINY
-    store = init_params(cfg, seed=3)
+    # square and patch-divisible, but not the configured size: refused with or
+    # without a tape
     big = np.random.default_rng(0).random((CHANNELS, 16, 16))
-    z = encode(big, store, cfg)
-    assert z.shape == ((16 // cfg.patch_size) ** 2, cfg.embed_dim)
+    with pytest.raises(ValueError, match=r"expected \[\.\.\., 3, 8, 8\], got \(3, 16, 16\)"):
+        encode(big, store, cfg)
     with recording():
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="expected"):
             encode(big, store, cfg)
 
 

@@ -1,10 +1,9 @@
 """How the package imports.
 
-The default run path imports no scipy. GELU's erf and the rain blur are
-numpy code, and `model` imports `ndimage` only for variable-resolution
-inference, so a source step and a hybrid run must leave `sys.modules` free
-of scipy. A fresh interpreter is needed: other tests import scipy as a
-reference.
+The package depends on numpy alone. GELU's erf and the rain blur are numpy
+code, and no module imports scipy, so a source step and a hybrid run must
+leave `sys.modules` free of it. That check needs a fresh interpreter,
+because the tests import scipy as a reference.
 
 Every module imports its siblings relatively, so two copies of the tree
 can load side by side under different package names in one process.
@@ -46,10 +45,10 @@ def test_source_step_and_hybrid_run_import_no_scipy(tmp_path):
     assert proc.stdout.strip() == "[]"
 
 
-def test_package_imports_itself_only_relatively():
+def _absolute_imports():
+    """(module:line, name) of each absolute import in the package."""
     paths = sorted((SRC / "ttaswitch").glob("*.py"))
     assert paths
-    absolute = []
     for path in paths:
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Import):
@@ -58,6 +57,17 @@ def test_package_imports_itself_only_relatively():
                 names = [node.module]
             else:
                 continue
-            absolute += [f"{path.name}:{node.lineno} {name}" for name in names
-                         if name.split(".")[0] == "ttaswitch"]
-    assert absolute == []
+            yield from ((f"{path.name}:{node.lineno}", name) for name in names)
+
+
+def _importing(package: str) -> list[str]:
+    return [f"{where} {name}" for where, name in _absolute_imports()
+            if name.split(".")[0] == package]
+
+
+def test_package_imports_itself_only_relatively():
+    assert _importing("ttaswitch") == []
+
+
+def test_package_imports_no_scipy():
+    assert _importing("scipy") == []
