@@ -31,8 +31,8 @@ and et-only baselines need.
 Per-instance step order (fixed; tests rely on it):
 
     teacher forward -> mask draw -> shift detection (the decision)
-    -> student forward (both heads) [-> decision_fn, when injected]
-    -> backward + optimizer step
+    -> student forward + backward (model.masked_backward)
+    [-> decision_fn, when injected] -> optimizer step
     -> threshold and detector update -> teacher EMA update + counters
 
 With the input detector or a fixed decision, the decision comes before
@@ -40,15 +40,17 @@ the student forward. An ET step then records that forward over a store in
 which every parameter outside ET_GROUPS is a gradient-free alias of the
 student's array, so the tape holds only what depends on the adapters and
 backward computes no gradient the optimizer would discard. An injected
-`decision_fn` needs the student's loss, so it decides after the forward,
-and the whole forward is recorded.
+`decision_fn` needs the student's loss, so the whole forward is recorded
+and backpropagated, and the decision only picks the groups the optimizer
+updates.
 
 A non-finite loss anywhere in the step quarantines the instance: no
 parameter, optimizer, threshold, detector, or teacher state changes, the
 decision is recorded as "SKIP", and the adapted-step counter does not
 advance. Its report gives the unchanged tau as tau_before and tau_after
 and leaves loss_seg and loss_rec at their default NaN and teacher_labels
-at None.
+at None. Any other exception propagates; neither leaves a `.grad` on the
+student.
 """
 from __future__ import annotations
 
@@ -58,9 +60,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import autodiff as ad
 from . import model as m
-from .autodiff import NonFiniteError, Optimizer, Tape
+from .autodiff import NonFiniteError, Optimizer
 from .params import ParamStore
 
 FT = "FT"      # full tuning: every parameter group
@@ -251,28 +252,22 @@ class AdaptationEngine:
             student = self.student
             if self.decision_fn is None and not use_ft:
                 student = student.frozen_except(ET_GROUPS)
-            tape = Tape()
-            try:
-                with ad.recording(tape):
-                    self.forward_count += 1
-                    loss_seg, loss_rec, _ = m.masked_losses(
-                        image, labels, patch_mask, student, cfg)
-                    loss_total = ad.add(loss_seg, loss_rec)
-                    if self.decision_fn is not None:
-                        use_ft = bool(self.decision_fn(float(loss_seg.data), self.tau))
-                    ad.backward(loss_total)
-            finally:
-                tape.nodes.clear()   # break the tape -> node -> tensor -> tape cycle now
+            self.forward_count += 1
+            _, loss_seg, loss_rec = m.masked_backward(image, labels, patch_mask, student, cfg)
+            if self.decision_fn is not None:
+                use_ft = bool(self.decision_fn(loss_seg, self.tau))
             self.optimizer.step(self.student, self.ft_groups if use_ft else ET_GROUPS,
                                 self.lr)
-        except NonFiniteError:
+        except BaseException as e:   # no exception leaves a gradient on the student
             self.student.zero_grad()
+            if not isinstance(e, NonFiniteError):
+                raise
             self.skipped += 1
             wall_ms = (self.clock() - start) * 1000.0
             return StepReport(t=t_index, domain=domain, decision=SKIP, wall_ms=wall_ms,
                               tau_before=self.tau, tau_after=self.tau)
         tau_before = self.tau
-        self.tau = update_threshold(tau_before, float(loss_seg.data), self.alpha_l)
+        self.tau = update_threshold(tau_before, loss_seg, self.alpha_l)
         self.shift_state = shift_state
         ema_update(self.teacher, self.student, self.alpha)
         if use_ft:
@@ -281,6 +276,5 @@ class AdaptationEngine:
             self.et_count += 1
         wall_ms = (self.clock() - start) * 1000.0
         return StepReport(t=t_index, domain=domain, decision=FT if use_ft else ET,
-                          wall_ms=wall_ms, loss_seg=float(loss_seg.data),
-                          loss_rec=float(loss_rec.data), tau_before=tau_before,
-                          tau_after=self.tau, teacher_labels=labels)
+                          wall_ms=wall_ms, loss_seg=loss_seg, loss_rec=loss_rec,
+                          tau_before=tau_before, tau_after=self.tau, teacher_labels=labels)

@@ -195,7 +195,7 @@ _FIXED_DECISIONS = {"ft-only": FT, "et-only": ET}
 def _load_matching(cfg: RunConfig, checkpoint_path):
     """Load the checkpoint; refuse one built for another model."""
     checkpoint_path = Path(checkpoint_path)
-    if not checkpoint_path.exists():
+    if not checkpoint_path.is_file():
         raise FileNotFoundError(f"checkpoint not found: {checkpoint_path}")
     params, ckpt_config = load_checkpoint(checkpoint_path)
     expected = cfg.model_config()

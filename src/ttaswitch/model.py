@@ -12,7 +12,8 @@ replaces whole patches with a learnable mask token at input-pixel level.
 
 `masked_losses` is the one training objective of both stages: source
 training scores it against true labels, test-time adaptation against the
-teacher's pseudo-labels.
+teacher's pseudo-labels. `masked_backward`, which records and backpropagates
+it, is the one training step of both; each stage adds its optimizer step.
 
 Images are `[..., c, h, w]` at the configured size, the one grid the
 position embeddings cover. The masking helpers, the encoder, the
@@ -396,6 +397,24 @@ def masked_losses(image, labels, patch_mask: PatchMask, params: ParamStore,
     loss_rec = ad.l1_masked(rec_decode(tokens, params, config), x_img,
                             Tensor(pixel_mask(patch_mask, config)))
     return loss_seg, loss_rec, logits
+
+
+def masked_backward(image, labels, patch_mask: PatchMask, params: ParamStore,
+                    config: ModelConfig) -> tuple[float, float, float]:
+    """Gradients of the masked objective; returns (total, seg, rec) as floats.
+
+    Records `masked_losses` on a fresh tape, backpropagates their sum (one
+    addition) into `.grad`, and releases the tape on every exit, raises too.
+    """
+    tape = ad.Tape()
+    try:
+        with ad.recording(tape):
+            loss_seg, loss_rec, _ = masked_losses(image, labels, patch_mask, params, config)
+            loss_total = add(loss_seg, loss_rec)
+            ad.backward(loss_total)
+    finally:
+        tape.nodes.clear()   # break the tape -> node -> tensor -> tape cycle now
+    return float(loss_total.data), float(loss_seg.data), float(loss_rec.data)
 
 
 def predict(image, params: ParamStore, config: ModelConfig) -> np.ndarray:

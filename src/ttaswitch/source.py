@@ -3,10 +3,10 @@
 Every training step masks a random subset of patches of each image and
 optimizes the batch means of the masked objective `model.masked_losses`:
 per-patch segmentation cross-entropy against the true labels plus the L1
-reconstruction loss over the masked pixels. The batch goes through the
-model as one `[B, c, h, w]` tensor, so a step records one tape for the
-whole batch. All parameter groups — backbone, adapters, heads, and the
-mask token — receive updates during this stage.
+reconstruction loss over the masked pixels. One `model.masked_backward`,
+the engine's training step too, takes the batch as one `[B, c, h, w]`
+tensor and records one tape for it. All parameter groups — backbone,
+adapters, heads, and the mask token — receive updates during this stage.
 """
 from __future__ import annotations
 
@@ -16,9 +16,8 @@ from pathlib import Path
 
 import numpy as np
 
-from . import autodiff as ad
 from . import model as m
-from .autodiff import Optimizer
+from .autodiff import NonFiniteError, Optimizer
 from .checkpoint import save_checkpoint
 from .params import ParamStore
 from .streams import Scene, child_seed, generate_scene
@@ -51,20 +50,13 @@ def source_step(batch: SourceBatch, params: ParamStore, config: m.ModelConfig,
     stacked = m.PatchMask(np.stack([
         m.draw_mask(config.num_patches, config.mask_ratio, mask_seed, step * n_img + i).mask
         for i in range(n_img)]))
-    tape = ad.Tape()
     try:
-        with ad.recording(tape):
-            loss_seg, loss_rec, _ = m.masked_losses(np.stack(batch.images),
-                                                    np.stack(batch.labels), stacked,
-                                                    params, config)
-            loss_total = ad.add(loss_seg, loss_rec)
-            ad.backward(loss_total)
-    except ad.NonFiniteError as e:
-        raise ad.NonFiniteError(f"non-finite loss at source step {step}: {e}") from e
-    finally:
-        tape.nodes.clear()   # break the tape -> node -> tensor -> tape cycle now
+        losses = m.masked_backward(np.stack(batch.images), np.stack(batch.labels), stacked,
+                                   params, config)
+    except NonFiniteError as e:
+        raise NonFiniteError(f"non-finite loss at source step {step}: {e}") from e
     optimizer.step(params, group_filter=params.groups_present(), lr=lr)
-    return (float(loss_total.data), float(loss_seg.data), float(loss_rec.data))
+    return losses
 
 
 EPOCH_LOG_COLUMNS = ("epoch", "loss_total", "loss_seg", "loss_rec")

@@ -1,13 +1,13 @@
-import gc
 import math
+import pickle
 from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from aug_stub import MultiScaleFlipTeacher
-from helpers import make_fake_clock, track_tapes
-from ttaswitch import adaptation
+from helpers import make_fake_clock
+from ttaswitch import autodiff
 from ttaswitch.adaptation import (ET, FT, SKIP, TEACHER_GROUPS, AdaptationEngine, StepReport,
                                   decide_shift, detect_shift, ema_update, ft_window,
                                   input_statistics, update_threshold)
@@ -266,30 +266,33 @@ def test_quarantine_on_nonfinite_input(trained):
     def failing_decision(loss, tau):
         raise NonFiniteError("decision on non-finite values")
 
+    # a decision_fn runs after the student's backward; what it raises leaves
+    # no .grad and Adam's state as it was, and only a NonFiniteError is a SKIP
+    adam = pickle.dumps(vars(engine.optimizer))   # the moments, bytes and all
+    engine.decision_fn = lambda loss, tau: {}[loss]
+    with pytest.raises(KeyError):
+        engine.step(good.image, t_index=3, domain=good.domain)
+    assert all(engine.student[n].grad is None for n in engine.student.names())
     engine.decision_fn = failing_decision
-    assert engine.step(good.image, t_index=3, domain=good.domain).decision == SKIP
+    assert engine.step(good.image, t_index=4, domain=good.domain).decision == SKIP
+    assert all(engine.student[n].grad is None for n in engine.student.names())
+    assert pickle.dumps(vars(engine.optimizer)) == adam
     assert engine.shift_state is state
     assert (state.mean.tobytes(), state.var.tobytes(),
             state.since_shift) == state_bytes
     assert engine.tau == tau and engine.skipped == 3 and engine.t == 1
 
 
-def test_quarantined_step_releases_its_tape(trained, monkeypatch):
-    def failing_decision(loss, tau):
-        raise NonFiniteError("decision on non-finite values")
+def counting_backward(monkeypatch) -> list:
+    """Patch `autodiff.backward` to log the tape length of each loss; returns the log."""
+    nodes, backward = [], autodiff.backward
 
-    tapes = track_tapes(monkeypatch, adaptation)
-    engine = fresh_engine(trained)
-    image = instances(1)[0].image
-    gc.disable()
-    try:
-        assert engine.step(image, t_index=0).decision == FT
-        assert tapes.created >= 1 and len(tapes.alive) == 0
-        engine.decision_fn = failing_decision
-        assert engine.step(image, t_index=1).decision == SKIP
-        assert tapes.created >= 2 and len(tapes.alive) == 0
-    finally:
-        gc.enable()
+    def counting(loss):
+        nodes.append(len(loss.tape))
+        backward(loss)
+
+    monkeypatch.setattr(autodiff, "backward", counting)
+    return nodes
 
 
 def test_pruned_et_tape_matches_the_full_tape(trained, monkeypatch):
@@ -307,14 +310,7 @@ def test_pruned_et_tape_matches_the_full_tape(trained, monkeypatch):
     full = fresh_engine(trained, alpha_l=0.9, clock=make_fake_clock(),
                         decision_fn=lambda loss, tau: next(replay))
 
-    nodes, with_grad = [], []
-    backward = adaptation.ad.backward
-
-    def counting_backward(loss):
-        nodes.append(len(loss.tape))
-        backward(loss)
-
-    monkeypatch.setattr(adaptation.ad, "backward", counting_backward)
+    nodes, with_grad = counting_backward(monkeypatch), []
     for engine in (pruned, full):
         def spying(params, groups, lr, step=engine.optimizer.step):
             with_grad.append({n for n in params.names() if params[n].grad is not None})
@@ -344,14 +340,7 @@ def test_fixed_decision_matches_constant_decision_fn(trained, monkeypatch, fixed
     engine = fresh_engine(trained, clock=make_fake_clock(), fixed_decision=fixed)
     reference = fresh_engine(trained, clock=make_fake_clock(),
                              decision_fn=lambda loss, tau: constant)
-    nodes = []
-    backward = adaptation.ad.backward
-
-    def counting_backward(loss):
-        nodes.append(len(loss.tape))
-        backward(loss)
-
-    monkeypatch.setattr(adaptation.ad, "backward", counting_backward)
+    nodes = counting_backward(monkeypatch)
     for i, inst in enumerate(instances(6)):
         got = engine.step(inst.image, i, inst.domain)
         assert got.decision == fixed

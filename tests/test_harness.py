@@ -264,8 +264,10 @@ def test_checkpoint_config_mismatch_rejected(checkpoint, tmp_path):
     with pytest.raises(ValueError, match="does not match"):
         run_experiment(tiny_cfg(embed_dim=32), checkpoint, tmp_path / "x")
     assert not (tmp_path / "x").exists()   # nothing written for a refused run
-    with pytest.raises(FileNotFoundError, match="checkpoint"):
-        run_experiment(tiny_cfg(), tmp_path / "missing.htta", tmp_path / "y")
+    for path in (tmp_path / "missing.htta", tmp_path):   # a directory is no checkpoint
+        with pytest.raises(FileNotFoundError, match="checkpoint not found"):
+            run_experiment(tiny_cfg(), path, tmp_path / "y")
+    assert not (tmp_path / "y").exists()
     with pytest.raises(ValueError, match="does not match"):
         run_mode_comparison(tiny_cfg(embed_dim=32), checkpoint, tmp_path / "cmp")
     assert not (tmp_path / "cmp").exists()

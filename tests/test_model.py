@@ -1,6 +1,10 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
+from ttaswitch import autodiff
 from ttaswitch.autodiff import (
     NonFiniteError,
     Optimizer,
@@ -21,6 +25,7 @@ from ttaswitch.model import (
     encode,
     init_params,
     insert_adapters,
+    masked_backward,
     masked_losses,
     parameter_layout,
     patchify,
@@ -229,6 +234,34 @@ def test_masked_losses_batch_matches_per_image_mean():
             continue
         assert np.abs(want).max() > 0, n
         assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max(), n
+
+
+def test_masked_backward_releases_its_tape(monkeypatch):
+    # Both stages step through masked_backward. With the cyclic GC off, a tape
+    # left holding its nodes stays alive (tape -> node -> tensor -> tape).
+    made, alive = [], weakref.WeakSet()
+
+    class TrackedTape(autodiff.Tape):
+        def __init__(self):
+            super().__init__()
+            made.append(None)
+            alive.add(self)
+
+    monkeypatch.setattr(autodiff, "Tape", TrackedTape)
+    store = init_params(TINY, seed=0)
+    image, labels = _image(TINY), np.zeros(TINY.num_patches, dtype=np.int64)
+    mask = draw_mask(TINY.num_patches, TINY.mask_ratio, seed=0, step=0)
+    gc.disable()
+    try:
+        total, seg, rec = masked_backward(image, labels, mask, store, TINY)
+        assert total == seg + rec and store["patch_embed.w"].grad is not None
+        assert len(made) == 1 and len(alive) == 0
+        store["seg_head.b"].data[0] = np.inf   # the encoder records; the head overflows
+        with pytest.raises(NonFiniteError):
+            masked_backward(image, labels, mask, store, TINY)
+        assert len(made) == 2 and len(alive) == 0
+    finally:
+        gc.enable()
 
 
 # ---------------------------------------------------------------------------

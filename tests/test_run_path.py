@@ -45,19 +45,22 @@ def test_source_step_and_hybrid_run_import_no_scipy(tmp_path):
     assert proc.stdout.strip() == "[]"
 
 
-def _absolute_imports():
-    """(module:line, name) of each absolute import in the package."""
+def _package_nodes():
+    """(file name, node) of each AST node in the package, module by module."""
     paths = sorted((SRC / "ttaswitch").glob("*.py"))
     assert paths
     for path in paths:
         for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.Import):
-                names = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom) and node.level == 0:
-                names = [node.module]
-            else:
-                continue
-            yield from ((f"{path.name}:{node.lineno}", name) for name in names)
+            yield path.name, node
+
+
+def _absolute_imports():
+    """(module:line, name) of each absolute import in the package."""
+    for module, node in _package_nodes():
+        if isinstance(node, ast.Import):
+            yield from ((f"{module}:{node.lineno}", alias.name) for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield f"{module}:{node.lineno}", node.module
 
 
 def _importing(package: str) -> list[str]:
@@ -71,3 +74,19 @@ def test_package_imports_itself_only_relatively():
 
 def test_package_imports_no_scipy():
     assert _importing("scipy") == []
+
+
+def test_only_masked_backward_records_a_training_step():
+    # Both stages train through model.masked_backward; a tape made, activated
+    # or backpropagated elsewhere in the package would fork that step again.
+    step, calls = range(0), []
+    for module, node in _package_nodes():   # breadth first: a def before its body
+        if isinstance(node, ast.FunctionDef) and node.name == "masked_backward":
+            step = range(node.lineno, node.end_lineno + 1)
+        elif isinstance(node, ast.Call) and module != "autodiff.py":
+            name = getattr(node.func, "attr", getattr(node.func, "id", None))
+            if name in ("Tape", "recording", "backward"):
+                calls.append((module == "model.py" and node.lineno in step,
+                              f"{module}:{node.lineno} {name}"))
+    assert [where for inside, where in calls if not inside] == []
+    assert len(calls) == 3   # masked_backward's own Tape, recording and backward
