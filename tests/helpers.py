@@ -8,12 +8,15 @@ from __future__ import annotations
 
 import json
 import struct
+import weakref
 import zlib
 from dataclasses import asdict
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
+from ttaswitch import autodiff
 from ttaswitch.checkpoint import VERSION
 from ttaswitch.harness import load_config
 from ttaswitch.streams import build_stream
@@ -75,3 +78,24 @@ def write_unchecked_checkpoint(path, params, config):
                         sort_keys=True, separators=(",", ":")).encode("utf-8")
     return write_raw_checkpoint(path, header,
                                 b"".join(params[n].data.tobytes() for n in params.names()))
+
+
+def track_tapes(monkeypatch) -> SimpleNamespace:
+    """Patch `autodiff.Tape` to record each new tape.
+
+    `created` counts the tapes made through `autodiff.Tape`, the name
+    `model.masked_backward` builds its tape from, and `alive` holds those
+    still alive. A test asserts that `created` grew before it reads an empty
+    `alive` as released. With the cyclic GC disabled, a tape left holding its
+    nodes stays alive through the tape -> node -> tensor -> tape cycle.
+    """
+    log = SimpleNamespace(created=0, alive=weakref.WeakSet())
+
+    class TrackedTape(autodiff.Tape):
+        def __init__(self):
+            super().__init__()
+            log.created += 1
+            log.alive.add(self)
+
+    monkeypatch.setattr(autodiff, "Tape", TrackedTape)
+    return log

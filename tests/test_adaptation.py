@@ -1,3 +1,4 @@
+import gc
 import math
 import pickle
 from dataclasses import fields
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 
 from aug_stub import MultiScaleFlipTeacher
-from helpers import make_fake_clock
+from helpers import make_fake_clock, track_tapes
 from ttaswitch import autodiff
 from ttaswitch.adaptation import (ET, FT, SKIP, TEACHER_GROUPS, AdaptationEngine, StepReport,
                                   decide_shift, detect_shift, ema_update, ft_window,
@@ -281,6 +282,24 @@ def test_quarantine_on_nonfinite_input(trained):
     assert (state.mean.tobytes(), state.var.tobytes(),
             state.since_shift) == state_bytes
     assert engine.tau == tau and engine.skipped == 3 and engine.t == 1
+
+
+def test_quarantined_step_releases_its_tape(trained, monkeypatch):
+    def failing_decision(loss, tau):
+        raise NonFiniteError("decision on non-finite values")
+
+    tapes = track_tapes(monkeypatch)
+    engine = fresh_engine(trained)
+    image = instances(1)[0].image
+    gc.disable()
+    try:
+        assert engine.step(image, t_index=0).decision == FT
+        assert tapes.created >= 1 and len(tapes.alive) == 0
+        engine.decision_fn = failing_decision
+        assert engine.step(image, t_index=1).decision == SKIP
+        assert tapes.created >= 2 and len(tapes.alive) == 0
+    finally:
+        gc.enable()
 
 
 def counting_backward(monkeypatch) -> list:

@@ -1,10 +1,9 @@
 import gc
-import weakref
 
 import numpy as np
 import pytest
 
-from ttaswitch import autodiff
+from helpers import track_tapes
 from ttaswitch.autodiff import (
     NonFiniteError,
     Optimizer,
@@ -237,17 +236,8 @@ def test_masked_losses_batch_matches_per_image_mean():
 
 
 def test_masked_backward_releases_its_tape(monkeypatch):
-    # Both stages step through masked_backward. With the cyclic GC off, a tape
-    # left holding its nodes stays alive (tape -> node -> tensor -> tape).
-    made, alive = [], weakref.WeakSet()
-
-    class TrackedTape(autodiff.Tape):
-        def __init__(self):
-            super().__init__()
-            made.append(None)
-            alive.add(self)
-
-    monkeypatch.setattr(autodiff, "Tape", TrackedTape)
+    # Both stages step through masked_backward; see helpers.track_tapes.
+    tapes = track_tapes(monkeypatch)
     store = init_params(TINY, seed=0)
     image, labels = _image(TINY), np.zeros(TINY.num_patches, dtype=np.int64)
     mask = draw_mask(TINY.num_patches, TINY.mask_ratio, seed=0, step=0)
@@ -255,11 +245,11 @@ def test_masked_backward_releases_its_tape(monkeypatch):
     try:
         total, seg, rec = masked_backward(image, labels, mask, store, TINY)
         assert total == seg + rec and store["patch_embed.w"].grad is not None
-        assert len(made) == 1 and len(alive) == 0
+        assert tapes.created == 1 and len(tapes.alive) == 0
         store["seg_head.b"].data[0] = np.inf   # the encoder records; the head overflows
         with pytest.raises(NonFiniteError):
             masked_backward(image, labels, mask, store, TINY)
-        assert len(made) == 2 and len(alive) == 0
+        assert tapes.created == 2 and len(tapes.alive) == 0
     finally:
         gc.enable()
 

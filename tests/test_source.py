@@ -1,11 +1,13 @@
 import csv
+import gc
 import math
 import platform
 
 import numpy as np
 import pytest
 
-from ttaswitch.autodiff import Optimizer
+from helpers import track_tapes
+from ttaswitch.autodiff import NonFiniteError, Optimizer
 from ttaswitch.checkpoint import load_checkpoint
 from ttaswitch.model import ModelConfig, draw_mask, init_params, masked_losses
 from ttaswitch.source import (SourceBatch, make_source_scenes, source_step,
@@ -101,6 +103,23 @@ def test_empty_batch_rejected():
     with pytest.raises(ValueError, match="empty batch"):
         source_step(SourceBatch((), ()), params, TINY, Optimizer("adam"),
                     1e-3, 0, 0)
+
+
+def test_failed_step_releases_its_tape(monkeypatch):
+    tapes = track_tapes(monkeypatch)
+    params = init_params(TINY, seed=0)
+    params["seg_head.b"].data[0] = np.inf   # the encoder records; the head overflows
+    gc.disable()
+    try:
+        try:
+            source_step(_batch(TINY, 2), params, TINY, Optimizer("adam"), 1e-3, 0, 0)
+        except NonFiniteError:
+            pass   # not kept: a held traceback would keep the step's frame alive
+        else:
+            pytest.fail("the step did not raise")
+        assert tapes.created >= 1 and len(tapes.alive) == 0
+    finally:
+        gc.enable()
 
 
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
