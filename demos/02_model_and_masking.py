@@ -22,19 +22,19 @@ for group, n in sorted(counts.items()):
 print(f"  {'total':<10} {total:>8,}")
 print(f"adapter fraction: {m.adapter_fraction(store):.4f} (budget: 8-12%)\n")
 
-# masks are a pure function of (seed, step)
+# a mask is a boolean array over the patches, a pure function of (seed, step)
 pm = m.draw_mask(cfg.num_patches, cfg.mask_ratio, seed=7, step=3)
 again = m.draw_mask(cfg.num_patches, cfg.mask_ratio, seed=7, step=3)
-assert np.array_equal(pm.mask, again.mask)
-print(f"mask at ratio {cfg.mask_ratio}: {pm.count}/{cfg.num_patches} patches "
-      f"masked (realized {pm.ratio_actual:.3f}), reproducible from (seed, step)")
+assert pm.dtype == bool and np.array_equal(pm, again)
+print(f"mask at ratio {cfg.mask_ratio}: boolean [{pm.size}], {pm.sum()} patches "
+      f"masked (realized {pm.mean():.3f}), reproducible from (seed, step)")
 
 rng = np.random.default_rng(1)
 image = rng.uniform(0, 1, (m.CHANNELS, cfg.image_size, cfg.image_size))
 masked = m.apply_mask(image, pm, store["mask_token"], cfg).data
 orig_patches = m.patchify(image, cfg.patch_size).data
 masked_patches = m.patchify(masked, cfg.patch_size).data
-visible = ~pm.mask
+visible = ~pm
 assert np.array_equal(masked_patches[visible], orig_patches[visible])
 print("visible patches are bit-identical to the original image\n")
 

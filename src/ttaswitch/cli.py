@@ -41,12 +41,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:   # a refused config is a command-line error: reported, nothing written
+    try:   # a refused config or checkpoint is a usage error: reported, nothing written
         cfg = load_config(args.config)
         if args.seed is not None:
             cfg = replace(cfg, seed=args.seed)
         if args.out is not None:
             cfg = replace(cfg, out_dir=str(args.out))
+        if args.command != "train-source" and not args.checkpoint.is_file():
+            raise FileNotFoundError(f"checkpoint not found: {args.checkpoint}")
     except (ValueError, FileNotFoundError) as e:
         parser.error(str(e))
 

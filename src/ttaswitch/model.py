@@ -26,7 +26,7 @@ passes one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -211,25 +211,11 @@ def adapter_fraction(store: ParamStore) -> float:
 # patch masking
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PatchMask:
-    """Boolean per-patch mask; True marks a patch replaced by the mask token."""
+def draw_mask(num_patches: int, mask_ratio: float, seed: int, step: int) -> np.ndarray:
+    """Boolean [num_patches], True at round(ratio * n) distinct masked patches.
 
-    mask: np.ndarray
-    count: int = field(init=False)
-
-    def __post_init__(self):
-        m = np.asarray(self.mask, dtype=bool)
-        object.__setattr__(self, "mask", m)
-        object.__setattr__(self, "count", int(m.sum()))
-
-    @property
-    def ratio_actual(self) -> float:
-        return self.count / self.mask.size
-
-
-def draw_mask(num_patches: int, mask_ratio: float, seed: int, step: int) -> PatchMask:
-    """Sample round(ratio * n) distinct patches; reproducible from (seed, step)."""
+    Reproducible from (seed, step). Stack B of them for a batch's [B, n] mask.
+    """
     if not 0.0 <= mask_ratio <= 1.0:
         raise ValueError("mask_ratio must lie in [0, 1]")
     if num_patches < 1:
@@ -239,7 +225,7 @@ def draw_mask(num_patches: int, mask_ratio: float, seed: int, step: int) -> Patc
     chosen = rng.choice(num_patches, size=count, replace=False)
     m = np.zeros(num_patches, dtype=bool)
     m[chosen] = True
-    return PatchMask(m)
+    return m
 
 
 def _lead(shape, rank: int, what: str) -> tuple[int, ...]:
@@ -273,23 +259,26 @@ def unpatchify(tokens, image_size: int, patch_size: int) -> Tensor:
     return reshape(t, lead + (CHANNELS, image_size, image_size))
 
 
-def apply_mask(x, patch_mask: PatchMask, mask_token: Tensor, config: ModelConfig) -> Tensor:
+def apply_mask(x, patch_mask: np.ndarray, mask_token: Tensor, config: ModelConfig) -> Tensor:
     """Replace masked patches of x with the (learnable) mask token.
 
-    x is [c, h, w] with a mask of [num_patches], or [B, c, h, w] with a
-    mask of [B, num_patches]. Visible patches pass through bit-identical;
-    gradient reaches the token only via masked positions.
+    x is [c, h, w] with a boolean mask of [num_patches], or [B, c, h, w]
+    with one of [B, num_patches]; any other dtype is refused. Visible patches
+    pass through bit-identical; gradient reaches the token only via masked
+    positions.
     """
     x = as_tensor(x)
     lead = _lead(x.shape, 3, "apply_mask")
     if x.shape[-3:] != (CHANNELS, config.image_size, config.image_size):
         raise ValueError(f"apply_mask: image shape {x.shape} does not match config")
-    if patch_mask.mask.shape != lead + (config.num_patches,):
+    if patch_mask.dtype != bool:
+        raise ValueError(f"apply_mask: mask must be boolean, got {patch_mask.dtype}")
+    if patch_mask.shape != lead + (config.num_patches,):
         raise ValueError("apply_mask: mask length does not match patch count")
     if mask_token.shape != (CHANNELS, config.patch_size, config.patch_size):
         raise ValueError(f"apply_mask: mask token shape {mask_token.shape} invalid")
     xp = patchify(x, config.patch_size)
-    col = patch_mask.mask.astype(np.float64)[..., None]
+    col = patch_mask.astype(np.float64)[..., None]
     m = Tensor(np.broadcast_to(col, xp.shape).copy())
     inv = Tensor(1.0 - m.data)
     visible = mul(xp, inv)
@@ -298,11 +287,11 @@ def apply_mask(x, patch_mask: PatchMask, mask_token: Tensor, config: ModelConfig
     return unpatchify(add(visible, masked), config.image_size, config.patch_size)
 
 
-def pixel_mask(patch_mask: PatchMask, config: ModelConfig) -> np.ndarray:
+def pixel_mask(patch_mask: np.ndarray, config: ModelConfig) -> np.ndarray:
     """0/1 float mask at pixel level, [..., c, h, w]; 1 where patches are masked."""
     g, p = config.grid, config.patch_size
-    lead = patch_mask.mask.shape[:-1]
-    grid = patch_mask.mask.reshape(lead + (g, g)).astype(np.float64)
+    lead = patch_mask.shape[:-1]
+    grid = patch_mask.reshape(lead + (g, g)).astype(np.float64)
     plane = np.kron(grid, np.ones((p, p)))[..., None, :, :]
     return np.broadcast_to(plane, lead + (CHANNELS, g * p, g * p)).copy()
 
@@ -372,7 +361,7 @@ def rec_decode(z, params: ParamStore, config: ModelConfig) -> Tensor:
     return unpatchify(tokens, config.image_size, config.patch_size)
 
 
-def masked_losses(image, labels, patch_mask: PatchMask, params: ParamStore,
+def masked_losses(image, labels, patch_mask: np.ndarray, params: ParamStore,
                   config: ModelConfig) -> tuple[Tensor, Tensor, Tensor]:
     """The masked objective; returns (loss_seg, loss_rec, logits).
 
@@ -399,7 +388,7 @@ def masked_losses(image, labels, patch_mask: PatchMask, params: ParamStore,
     return loss_seg, loss_rec, logits
 
 
-def masked_backward(image, labels, patch_mask: PatchMask, params: ParamStore,
+def masked_backward(image, labels, patch_mask: np.ndarray, params: ParamStore,
                     config: ModelConfig) -> tuple[float, float, float]:
     """Gradients of the masked objective; returns (total, seg, rec) as floats.
 

@@ -47,9 +47,8 @@ def source_step(batch: SourceBatch, params: ParamStore, config: m.ModelConfig,
     n_img = len(batch.images)
     if n_img == 0:
         raise ValueError("source_step: empty batch")
-    stacked = m.PatchMask(np.stack([
-        m.draw_mask(config.num_patches, config.mask_ratio, mask_seed, step * n_img + i).mask
-        for i in range(n_img)]))
+    stacked = np.stack([m.draw_mask(config.num_patches, config.mask_ratio, mask_seed,
+                                    step * n_img + i) for i in range(n_img)])
     try:
         losses = m.masked_backward(np.stack(batch.images), np.stack(batch.labels), stacked,
                                    params, config)

@@ -19,7 +19,12 @@ import numpy as np
 from ttaswitch import autodiff
 from ttaswitch.checkpoint import VERSION
 from ttaswitch.harness import load_config
+from ttaswitch.model import ModelConfig
 from ttaswitch.streams import build_stream
+
+# The test-size model: a 2x2 patch grid, two blocks, three classes.
+TINY = ModelConfig(image_size=8, patch_size=4, embed_dim=16, depth=2, heads=2,
+                   num_classes=3, adapter_dim=6)
 
 
 def fd_gradient(f, arrays: dict[str, np.ndarray], wrt: str, h: float = 1e-5) -> np.ndarray:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from aug_stub import MultiScaleFlipTeacher
-from helpers import make_fake_clock, track_tapes
+from helpers import TINY, make_fake_clock, track_tapes
 from ttaswitch import autodiff
 from ttaswitch.adaptation import (ET, FT, SKIP, TEACHER_GROUPS, AdaptationEngine, StepReport,
                                   decide_shift, detect_shift, ema_update, ft_window,
@@ -15,14 +15,10 @@ from ttaswitch.adaptation import (ET, FT, SKIP, TEACHER_GROUPS, AdaptationEngine
 from ttaswitch.autodiff import NonFiniteError, Optimizer, Tensor
 from ttaswitch.checkpoint import load_checkpoint
 from ttaswitch.harness import RunConfig
-from ttaswitch.model import (ModelConfig, draw_mask, init_params, masked_losses,
-                             parameter_layout, predict)
+from ttaswitch.model import draw_mask, init_params, masked_losses, parameter_layout, predict
 from ttaswitch.params import ParamStore
 from ttaswitch.source import SourceBatch, source_step, train_source
 from ttaswitch.streams import build_stream
-
-TINY = ModelConfig(image_size=8, patch_size=4, embed_dim=16, depth=2, heads=2,
-                   num_classes=3, adapter_dim=6)
 
 
 @pytest.fixture(scope="module")

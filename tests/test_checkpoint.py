@@ -6,13 +6,11 @@ from dataclasses import asdict, replace
 import numpy as np
 import pytest
 
-from helpers import write_raw_checkpoint, write_unchecked_checkpoint
+from helpers import TINY, write_raw_checkpoint, write_unchecked_checkpoint
 from ttaswitch.checkpoint import MAGIC, load_checkpoint, save_checkpoint
 from ttaswitch.harness import RunConfig
 from ttaswitch.model import ModelConfig, init_params
 
-TINY = ModelConfig(image_size=8, patch_size=4, embed_dim=16, depth=2, heads=2,
-                   num_classes=3, adapter_dim=6)
 WIDE = replace(TINY, embed_dim=32)   # the same names, other shapes
 
 

@@ -93,11 +93,16 @@ def test_seed_override_changes_stream(workdir):
     assert all(a.image.tobytes() != b.image.tobytes() for a, b in zip(base, alt))
 
 
-def test_missing_checkpoint_fails(workdir):
+def test_missing_checkpoint_fails(workdir, capsys):
     root, cfg = workdir
-    with pytest.raises(FileNotFoundError):
-        main(["adapt", "--config", str(cfg), "--checkpoint",
-              str(root / "nope.htta"), "--out", str(root / "x")])
+    for command, path in (("adapt", root / "nope.htta"), ("eval", root / "nope.htta"),
+                          ("adapt", root), ("eval", root)):
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, "--config", str(cfg), "--checkpoint", str(path),
+                  "--out", str(root / "x")])
+        assert exit_info.value.code == 2
+        assert_usage_error(capsys, f"checkpoint not found: {path}")
+        assert not (root / "x").exists()
 
 
 def test_negative_seed_refused_before_writing(workdir, capsys):

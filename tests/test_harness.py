@@ -1,10 +1,10 @@
 import math
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import pytest
 
-from helpers import make_fake_clock, replay_stream, write_unchecked_checkpoint
+from helpers import TINY, make_fake_clock, replay_stream, write_unchecked_checkpoint
 from ttaswitch.checkpoint import save_checkpoint
 from ttaswitch.harness import (MODES, PER_INSTANCE_COLUMNS, ROUND_SUMMARY_COLUMNS,
                                RunConfig, format_config, load_config,
@@ -16,10 +16,8 @@ from ttaswitch.source import train_source
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
-TINY_KW = dict(image_size=8, patch_size=4, embed_dim=16, depth=2, heads=2,
-               num_classes=3, adapter_dim=6, domains=("fog", "night"),
-               per_domain=3, rounds=2, source_scenes=8, source_epochs=4,
-               batch_size=4, seed=13)
+TINY_KW = dict(asdict(TINY), domains=("fog", "night"), per_domain=3, rounds=2,
+               source_scenes=8, source_epochs=4, batch_size=4, seed=13)
 
 
 def tiny_cfg(**overrides):

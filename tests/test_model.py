@@ -3,7 +3,7 @@ import gc
 import numpy as np
 import pytest
 
-from helpers import track_tapes
+from helpers import TINY, track_tapes
 from ttaswitch.autodiff import (
     NonFiniteError,
     Optimizer,
@@ -17,7 +17,6 @@ from ttaswitch.autodiff import (
 from ttaswitch.model import (
     CHANNELS,
     ModelConfig,
-    PatchMask,
     adapter_fraction,
     apply_mask,
     draw_mask,
@@ -34,9 +33,6 @@ from ttaswitch.model import (
     seg_decode,
     unpatchify,
 )
-
-TINY = ModelConfig(image_size=8, patch_size=4, embed_dim=16, depth=2, heads=2,
-                   num_classes=3, adapter_dim=6)
 
 
 def _image(cfg, seed=0):
@@ -94,12 +90,13 @@ def test_init_is_deterministic():
 
 def test_mask_count_and_reproducibility():
     pm = draw_mask(64, 0.75, seed=3, step=11)
-    assert pm.count == round(0.75 * 64) == 48
+    assert pm.dtype == bool and pm.shape == (64,)
+    assert pm.sum() == round(0.75 * 64) == 48
     pm2 = draw_mask(64, 0.75, seed=3, step=11)
-    assert np.array_equal(pm.mask, pm2.mask)
+    assert np.array_equal(pm, pm2)
     pm3 = draw_mask(64, 0.75, seed=3, step=12)
-    assert not np.array_equal(pm.mask, pm3.mask)
-    assert abs(pm.ratio_actual - 0.75) <= 1.0 / 64
+    assert not np.array_equal(pm, pm3)
+    assert abs(pm.mean() - 0.75) <= 1.0 / 64
     with pytest.raises(ValueError):
         draw_mask(64, 1.2, 0, 0)
 
@@ -115,7 +112,7 @@ def test_apply_mask_semantics():
     op = patchify(out, cfg.patch_size).data
     tok = store["mask_token"].data.reshape(-1)
     for i in range(cfg.num_patches):
-        if pm.mask[i]:
+        if pm[i]:
             assert np.array_equal(op[i], tok)
         else:
             assert op[i].tobytes() == xp[i].tobytes()  # visible patches bit-equal
@@ -159,7 +156,7 @@ def test_pixel_mask_counts():
     pm = draw_mask(cfg.num_patches, 0.5, 0, 0)
     m = pixel_mask(pm, cfg)
     assert m.shape == (CHANNELS, cfg.image_size, cfg.image_size)
-    assert m.sum() == pm.count * cfg.patch_size ** 2 * CHANNELS
+    assert m.sum() == pm.sum() * cfg.patch_size ** 2 * CHANNELS
     assert set(np.unique(m)) <= {0.0, 1.0}
 
 
@@ -176,7 +173,7 @@ def test_batch_axis_masks_each_image_as_alone():
     store = init_params(cfg, seed=2)
     xs = np.stack([_image(cfg, seed=s) for s in (5, 6, 7)])
     pms = [draw_mask(cfg.num_patches, 0.5, seed=1, step=s) for s in range(3)]
-    stacked = PatchMask(np.stack([pm.mask for pm in pms]))
+    stacked = np.stack(pms)
     out = apply_mask(xs, stacked, store["mask_token"], cfg)
     pix = pixel_mask(stacked, cfg)
     tokens = patchify(Tensor(xs), cfg.patch_size)
@@ -191,6 +188,9 @@ def test_batch_axis_masks_each_image_as_alone():
                                                     cfg.patch_size).data.tobytes()
     with pytest.raises(ValueError, match="mask length"):
         apply_mask(xs, pms[0], store["mask_token"], cfg)
+    for not_bool in (stacked.astype(np.float64), stacked.astype(np.int64)):
+        with pytest.raises(ValueError, match="mask must be boolean"):   # no silent 0.5 -> True
+            apply_mask(xs, not_bool, store["mask_token"], cfg)
 
 
 def test_masked_losses_batch_matches_per_image_mean():
@@ -216,7 +216,7 @@ def test_masked_losses_batch_matches_per_image_mean():
             ref_grads[n] += store[n].grad / 3
         store.zero_grad()
 
-    stacked = PatchMask(np.stack([pm.mask for pm in masks]))
+    stacked = np.stack(masks)
     with recording():
         seg, rec, logits = masked_losses(images, labels, stacked, store, cfg)
         backward(add(seg, rec))

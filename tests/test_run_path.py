@@ -7,6 +7,9 @@ because the tests import scipy as a reference.
 
 Every module imports its siblings relatively, so two copies of the tree
 can load side by side under different package names in one process.
+
+`__init__.py` is its docstring alone: callers import the module that
+defines a name, so a rename edits no second list.
 """
 import ast
 import os
@@ -74,6 +77,13 @@ def test_package_imports_itself_only_relatively():
 
 def test_package_imports_no_scipy():
     assert _importing("scipy") == []
+
+
+def test_package_init_is_its_docstring_alone():
+    stmts = [node for module, node in _package_nodes()
+             if module == "__init__.py" and isinstance(node, ast.stmt)]
+    assert [type(node).__name__ for node in stmts] == ["Expr"], "re-exports in __init__.py"
+    assert isinstance(stmts[0].value, ast.Constant) and isinstance(stmts[0].value.value, str)
 
 
 def test_only_masked_backward_records_a_training_step():

@@ -6,15 +6,12 @@ import platform
 import numpy as np
 import pytest
 
-from helpers import track_tapes
+from helpers import TINY, track_tapes
 from ttaswitch.autodiff import NonFiniteError, Optimizer
 from ttaswitch.checkpoint import load_checkpoint
 from ttaswitch.model import ModelConfig, draw_mask, init_params, masked_losses
 from ttaswitch.source import (SourceBatch, make_source_scenes, source_step,
                               train_source)
-
-TINY = ModelConfig(image_size=8, patch_size=4, embed_dim=16, depth=2, heads=2,
-                   num_classes=3, adapter_dim=6)
 
 
 def _batch(config, n, seed=3):
