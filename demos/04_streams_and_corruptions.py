@@ -10,8 +10,7 @@ import itertools
 import numpy as np
 
 from ttaswitch.model import ModelConfig
-from ttaswitch.streams import (CORRUPTIONS, CorruptionSpec, apply_corruption,
-                               build_stream, generate_scene)
+from ttaswitch.streams import CORRUPTIONS, apply_corruption, build_stream, generate_scene
 
 cfg = ModelConfig(image_size=32, patch_size=4, num_classes=5)   # scenes read only these
 scene = generate_scene(seed=42, config=cfg)
@@ -23,8 +22,7 @@ print("\npixel shift per corruption (mean |corrupted - clean|):")
 for kind in CORRUPTIONS:
     shifts = []
     for severity in (0.2, 0.5, 0.8):
-        out = apply_corruption(scene.image, CorruptionSpec(kind=kind,
-                                                           severity=severity, seed=7))
+        out = apply_corruption(scene.image, kind, severity, seed=7)
         assert out.shape == scene.image.shape
         assert np.all((0.0 <= out) & (out <= 1.0))
         shifts.append(float(np.mean(np.abs(out - scene.image))))

@@ -62,7 +62,7 @@ import numpy as np
 
 from . import model as m
 from .autodiff import NonFiniteError, Optimizer
-from .params import ParamStore
+from .params import GROUPS, ParamStore
 
 FT = "FT"      # full tuning: every parameter group
 ET = "ET"      # efficient tuning: the ET_GROUPS only
@@ -208,7 +208,6 @@ class AdaptationEngine:
         self.lr = float(lr)
         self.alpha = float(alpha)
         self.alpha_l = float(alpha_l)
-        self.ft_groups = tuple(params.groups_present())
         self.decision_fn = decision_fn
         self.fixed_decision = fixed_decision
         self.mask_seed = int(mask_seed)
@@ -256,8 +255,7 @@ class AdaptationEngine:
             _, loss_seg, loss_rec = m.masked_backward(image, labels, patch_mask, student, cfg)
             if self.decision_fn is not None:
                 use_ft = bool(self.decision_fn(loss_seg, self.tau))
-            self.optimizer.step(self.student, self.ft_groups if use_ft else ET_GROUPS,
-                                self.lr)
+            self.optimizer.step(self.student, GROUPS if use_ft else ET_GROUPS, self.lr)
         except BaseException as e:   # no exception leaves a gradient on the student
             self.student.zero_grad()
             if not isinstance(e, NonFiniteError):

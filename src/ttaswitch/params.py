@@ -40,9 +40,6 @@ class ParamStore:
     def __contains__(self, name: str) -> bool:
         return name in self._tensors
 
-    def __len__(self) -> int:
-        return len(self._tensors)
-
     def names(self) -> list[str]:
         return list(self._tensors)
 
@@ -58,10 +55,6 @@ class ParamStore:
 
     def group_of(self, name: str) -> str:
         return self._groups[name]
-
-    def groups_present(self) -> tuple[str, ...]:
-        seen = dict.fromkeys(self._groups.values())
-        return tuple(seen)
 
     def group_names(self, group: str) -> list[str]:
         return [n for n, g in self._groups.items() if g == group]

@@ -19,7 +19,7 @@ import numpy as np
 from . import model as m
 from .autodiff import NonFiniteError, Optimizer
 from .checkpoint import save_checkpoint
-from .params import ParamStore
+from .params import GROUPS, ParamStore
 from .streams import Scene, child_seed, generate_scene
 
 
@@ -39,22 +39,22 @@ def source_step(batch: SourceBatch, params: ParamStore, config: m.ModelConfig,
                 optimizer: Optimizer, lr: float, mask_seed: int, step: int):
     """One optimization step over a batch; returns (loss_total, loss_seg, loss_rec).
 
-    Image i's mask is drawn from (mask_seed, step * len(batch) + i). With full
-    batches that is its position in the run; a short batch repeats keys of the
-    one before it (8 scenes at batch 3 draw keys 0-5, then 4 and 5 again).
-    The total is formed by a single addition of the two mean loss terms.
+    `step` is the run position of the batch's first image, so image i's mask
+    is drawn from (mask_seed, step + i): every image of a run gets its own
+    key, whatever the batch size. The total is formed by a single addition
+    of the two mean loss terms.
     """
     n_img = len(batch.images)
     if n_img == 0:
         raise ValueError("source_step: empty batch")
     stacked = np.stack([m.draw_mask(config.num_patches, config.mask_ratio, mask_seed,
-                                    step * n_img + i) for i in range(n_img)])
+                                    step + i) for i in range(n_img)])
     try:
         losses = m.masked_backward(np.stack(batch.images), np.stack(batch.labels), stacked,
                                    params, config)
     except NonFiniteError as e:
-        raise NonFiniteError(f"non-finite loss at source step {step}: {e}") from e
-    optimizer.step(params, group_filter=params.groups_present(), lr=lr)
+        raise NonFiniteError(f"non-finite loss in the source batch from image {step}: {e}") from e
+    optimizer.step(params, group_filter=GROUPS, lr=lr)
     return losses
 
 
@@ -81,7 +81,6 @@ def train_source(config: m.ModelConfig, num_scenes: int, epochs: int, batch_size
     order_rng = np.random.default_rng((int(seed), 43))
 
     log_rows = []
-    step = 0
     for epoch in range(epochs):
         order = order_rng.permutation(len(scenes))
         sums = np.zeros(3)
@@ -93,10 +92,9 @@ def train_source(config: m.ModelConfig, num_scenes: int, epochs: int, batch_size
                 labels=tuple(scenes[j].labels for j in idx),
             )
             losses = source_step(batch, params, config, optimizer, lr,
-                                 mask_seed=seed, step=step)
+                                 mask_seed=seed, step=epoch * len(scenes) + start)
             sums += np.asarray(losses)
             n_batches += 1
-            step += 1
         means = sums / max(n_batches, 1)
         log_rows.append({"epoch": epoch, "loss_total": means[0],
                          "loss_seg": means[1], "loss_rec": means[2]})

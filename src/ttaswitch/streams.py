@@ -107,29 +107,23 @@ def majority_patch_labels(class_map: np.ndarray, patch_size: int, num_classes: i
 # corruptions
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CorruptionSpec:
-    kind: str
-    severity: float = 0.8
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.kind not in CORRUPTIONS:
-            raise ValueError(f"unknown corruption '{self.kind}' (expected one of {CORRUPTIONS})")
-        if not 0.0 <= self.severity <= 1.0:
-            raise ValueError("severity must lie in [0, 1]")
+def _check_corruption(kind: str, severity: float) -> None:
+    if kind not in CORRUPTIONS:
+        raise ValueError(f"unknown corruption '{kind}' (expected one of {CORRUPTIONS})")
+    if not 0.0 <= severity <= 1.0:
+        raise ValueError("severity must lie in [0, 1]")
 
 
-def apply_corruption(image: np.ndarray, spec: CorruptionSpec) -> np.ndarray:
+def apply_corruption(image: np.ndarray, kind: str, severity: float, seed: int) -> np.ndarray:
     """Corrupt pixels; geometry (and therefore labels) is untouched."""
+    _check_corruption(kind, severity)
     x = np.asarray(image, dtype=np.float64)
     if x.ndim != 3:
         raise ValueError(f"apply_corruption: expected [c, h, w], got {x.shape}")
-    s = float(spec.severity)
+    s = float(severity)
     if s == 0.0:
         return x.copy()
-    rng = np.random.default_rng(int(spec.seed))
-    out = _CORRUPTION_FNS[spec.kind](x, s, rng)
+    out = _CORRUPTION_FNS[kind](x, s, np.random.default_rng(int(seed)))
     return np.clip(out, 0.0, 1.0)
 
 
@@ -218,9 +212,7 @@ def _render_instance(config: ModelConfig, scene_seed: int, domain: str, rnd: int
                      severity: float) -> StreamInstance:
     """Render the scene for scene_seed and corrupt it for its domain."""
     scene = generate_scene(scene_seed, config)
-    cspec = CorruptionSpec(kind=domain, severity=severity,
-                           seed=child_seed(scene_seed, 977))
-    image = apply_corruption(scene.image, cspec)
+    image = apply_corruption(scene.image, domain, severity, child_seed(scene_seed, 977))
     return StreamInstance(image=image, labels=scene.labels, domain=domain, round=rnd,
                           t=t, scene_seed=scene_seed)
 
@@ -238,7 +230,7 @@ def build_stream(config: ModelConfig, domains, per_domain: int, rounds: int, see
     if not domains:
         raise ValueError("build_stream: at least one domain required")
     for d in domains:
-        CorruptionSpec(kind=d, severity=severity)  # validates kind and severity
+        _check_corruption(d, severity)
     if per_domain < 1 or rounds < 1:
         raise ValueError("build_stream: per_domain and rounds must be >= 1")
     schedule = [(rnd, domain) for rnd in range(rounds) for domain in domains

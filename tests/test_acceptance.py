@@ -23,7 +23,7 @@ from ttaswitch.checkpoint import load_checkpoint, save_checkpoint
 from ttaswitch.harness import RunConfig, measure_throughput, read_per_instance_csv, run_experiment, run_mode_comparison
 from ttaswitch.metrics import compute_miou
 from ttaswitch.model import ModelConfig, init_params, insert_adapters
-from ttaswitch.params import ParamStore
+from ttaswitch.params import GROUPS, ParamStore
 from ttaswitch.source import SourceBatch, make_source_scenes, source_step, train_source
 from ttaswitch.streams import build_stream
 
@@ -263,7 +263,7 @@ def test_criterion_04_group_isolation(capsys, reference):
 
         engine = AdaptationEngine(params.clone(), mcfg,
                                   decision_fn=lambda loss, tau: True)
-        groups = engine.student.groups_present()
+        groups = GROUPS
         before = {g: engine.student.snapshot_bytes(engine.student.group_names(g))
                   for g in groups}
         report = engine.step(insts[0].image, 0, insts[0].domain)

@@ -16,7 +16,7 @@ from ttaswitch.autodiff import NonFiniteError, Optimizer, Tensor
 from ttaswitch.checkpoint import load_checkpoint
 from ttaswitch.harness import RunConfig
 from ttaswitch.model import draw_mask, init_params, masked_losses, parameter_layout, predict
-from ttaswitch.params import ParamStore
+from ttaswitch.params import GROUPS, ParamStore
 from ttaswitch.source import SourceBatch, source_step, train_source
 from ttaswitch.streams import build_stream
 
@@ -181,7 +181,7 @@ def test_ft_step_updates_every_group(trained):
     engine = fresh_engine(trained, fixed_decision=FT)
     student = engine.student
     before = {g: student.snapshot_bytes(student.group_names(g))
-              for g in student.groups_present()}
+              for g in GROUPS}
     engine.step(instances(1)[0].image, t_index=0)
     for g, snap in before.items():
         assert student.snapshot_bytes(student.group_names(g)) != snap, g

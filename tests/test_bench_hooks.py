@@ -5,6 +5,8 @@ attribute name. A renamed or moved function would otherwise show only when
 the minutes-long `perfbench/selftest.py` runs.
 """
 import ast
+import importlib
+import inspect
 import sys
 from pathlib import Path
 
@@ -54,3 +56,58 @@ def test_workload_patch_targets_exist(bench):
     assert ("source", "save_checkpoint") in targets
     for owner, attr in targets:
         assert attr in vars(getattr(workloads, owner)), f"{owner}.{attr}"
+
+
+_OUTSIDE = object()   # a name the package does not provide
+
+
+def _package_calls(path: Path):
+    """(called name, target, call node) for each call into `ttaswitch` in `path`.
+
+    A name is the package's when the file imports it with `from ttaswitch...
+    import`; a call through an attribute chain on such a name resolves along
+    the chain, and an attribute that is missing gives the target None.
+    """
+    tree = ast.parse(path.read_text())
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "ttaswitch":
+            importlib.import_module(node.module)
+            for alias in node.names:   # a submodule is imported on demand
+                bound[alias.asname or alias.name] = (
+                    getattr(sys.modules[node.module], alias.name, None)
+                    or importlib.import_module(f"{node.module}.{alias.name}"))
+
+    def resolve(node):
+        if isinstance(node, ast.Name):
+            return bound.get(node.id, _OUTSIDE)
+        if isinstance(node, ast.Attribute):
+            owner = resolve(node.value)
+            return owner if owner in (_OUTSIDE, None) else getattr(owner, node.attr, None)
+        return _OUTSIDE
+
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and (target := resolve(node.func)) is not _OUTSIDE:
+            yield ast.unparse(node.func), target, node
+
+
+def test_perfbench_calls_bind_to_the_package_signatures():
+    # A renamed keyword or a dropped field would otherwise break the
+    # benchmark only when it runs.
+    checked, broken = set(), []
+    for path in sorted(PERFBENCH.glob("*.py")):
+        for name, target, call in _package_calls(path):
+            where = f"{path.name}:{call.lineno} {name}"
+            if target is None:
+                broken.append(f"{where}: no such name")
+            elif not any(isinstance(a, ast.Starred) for a in call.args) and \
+                    all(k.arg is not None for k in call.keywords):   # skip *args, **kwargs
+                try:
+                    inspect.signature(target).bind(*call.args,
+                                                   **{k.arg: None for k in call.keywords})
+                except TypeError as e:
+                    broken.append(f"{where}: {e}")
+                checked.add(name)
+    assert not broken, broken
+    assert {"source.source_step", "source.SourceBatch", "source.train_source",
+            "train_source", "Optimizer", "harness.run_experiment"} <= checked, checked

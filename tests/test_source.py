@@ -7,9 +7,11 @@ import numpy as np
 import pytest
 
 from helpers import TINY, track_tapes
+from ttaswitch import model
 from ttaswitch.autodiff import NonFiniteError, Optimizer
 from ttaswitch.checkpoint import load_checkpoint
 from ttaswitch.model import ModelConfig, draw_mask, init_params, masked_losses
+from ttaswitch.params import GROUPS
 from ttaswitch.source import (SourceBatch, make_source_scenes, source_step,
                               train_source)
 
@@ -32,7 +34,7 @@ def test_total_is_exact_sum_of_parts():
 def test_step_updates_every_group():
     params = init_params(TINY, seed=0)
     before = {g: params.snapshot_bytes(params.group_names(g))
-              for g in params.groups_present()}
+              for g in GROUPS}
     source_step(_batch(TINY, 2), params, TINY, Optimizer("adam"), lr=1e-3,
                 mask_seed=0, step=0)
     for g, snap in before.items():
@@ -43,11 +45,11 @@ def test_step_updates_every_group():
 def test_batched_step_losses_are_per_image_means():
     params = init_params(TINY, seed=0)
     batch = _batch(TINY, 3)
-    step = 5
+    step = 15
     ref = np.zeros(2)
     for i, (image, labels) in enumerate(zip(batch.images, batch.labels)):
-        # the reference: one image at a time, with mask (seed, step * B + i)
-        pm = draw_mask(TINY.num_patches, TINY.mask_ratio, 9, step * 3 + i)
+        # the reference: one image at a time, with mask (seed, step + i)
+        pm = draw_mask(TINY.num_patches, TINY.mask_ratio, 9, step + i)
         seg, rec, _ = masked_losses(image, labels, pm, params, TINY)
         ref += [float(seg.data) / 3, float(rec.data) / 3]
     _, seg, rec = source_step(batch, params.clone(), TINY, Optimizer("adam"), 1e-3,
@@ -60,7 +62,7 @@ def test_batched_step_gradient_matches_finite_differences():
     entries = (("blocks.0.attn.wq", (1, 2)), ("blocks.1.adapter.up.w", (2, 1)),
                ("seg_head.w", (3, 1)), ("rec_head.w", (0, 3)), ("mask_token", (0, 1, 1)))
     params = init_params(TINY, seed=0)
-    assert {params.group_of(n) for n, _ in entries} == set(params.groups_present())
+    assert {params.group_of(n) for n, _ in entries} == set(GROUPS)
     batch = _batch(TINY, 2)
 
     def loss(store):
@@ -175,6 +177,21 @@ def test_train_reduces_loss_and_logs(tmp_path):
     assert last < first
     loaded, _ = load_checkpoint(tmp_path / "source.htta")
     assert loaded.snapshot_bytes() != init_params(TINY, seed=1).snapshot_bytes()
+
+
+def test_train_keys_each_mask_by_its_image_position(tmp_path, monkeypatch):
+    # 8 scenes at batch 3 end each epoch on a short batch of two
+    keys = []
+    draw = model.draw_mask
+
+    def recording_draw(num_patches, mask_ratio, seed, step):
+        keys.append(step)
+        return draw(num_patches, mask_ratio, seed, step)
+
+    monkeypatch.setattr(model, "draw_mask", recording_draw)
+    train_source(TINY, num_scenes=8, epochs=2, batch_size=3, lr=1e-3, seed=2,
+                 out_dir=tmp_path)
+    assert keys == list(range(16))
 
 
 def test_train_is_reproducible(tmp_path):

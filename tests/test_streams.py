@@ -1,8 +1,11 @@
+import hashlib
+
 import numpy as np
 import pytest
 
+from ttaswitch.harness import RunConfig
 from ttaswitch.model import ModelConfig
-from ttaswitch.streams import (CORRUPTIONS, MAX_CLASSES, CorruptionSpec, apply_corruption,
+from ttaswitch.streams import (CORRUPTIONS, MAX_CLASSES, apply_corruption,
                                _box_blur, build_stream, child_seed, generate_scene,
                                majority_patch_labels)
 
@@ -63,7 +66,7 @@ def test_majority_labels_match_per_patch_loop():
 def test_fog_formula_exact():
     x = generate_scene(7, SPEC).image
     s = 0.5
-    out = apply_corruption(x, CorruptionSpec("fog", s, seed=3))
+    out = apply_corruption(x, "fog", s, 3)
     expected = np.clip((1.0 - 0.6 * s) * x + 0.6 * s, 0.0, 1.0)
     assert np.array_equal(out, expected)
 
@@ -71,7 +74,7 @@ def test_fog_formula_exact():
 def test_night_formula_exact():
     x = generate_scene(7, SPEC).image
     s = 0.8
-    out = apply_corruption(x, CorruptionSpec("night", s, seed=11))
+    out = apply_corruption(x, "night", s, 11)
     rng = np.random.default_rng(11)
     expected = np.clip(x * (1.0 - 0.8 * s) + rng.normal(0.0, 0.05 * s, size=x.shape),
                        0.0, 1.0)
@@ -81,7 +84,7 @@ def test_night_formula_exact():
 def test_snow_formula_exact():
     x = generate_scene(9, SPEC).image
     s = 1.0
-    out = apply_corruption(x, CorruptionSpec("snow", s, seed=5))
+    out = apply_corruption(x, "snow", s, 5)
     rng = np.random.default_rng(5)
     expected = 0.5 + (x - 0.5) * (1.0 - 0.35 * s)
     h, w = x.shape[1:]
@@ -93,12 +96,12 @@ def test_snow_formula_exact():
 
 def test_rain_properties():
     x = generate_scene(13, SPEC).image
-    out = apply_corruption(x, CorruptionSpec("rain", 0.8, seed=2))
-    out2 = apply_corruption(x, CorruptionSpec("rain", 0.8, seed=2))
+    out = apply_corruption(x, "rain", 0.8, 2)
+    out2 = apply_corruption(x, "rain", 0.8, 2)
     assert np.array_equal(out, out2)
     assert out.min() >= 0.0 and out.max() <= 1.0
     assert not np.array_equal(out, x)
-    assert not np.array_equal(out, apply_corruption(x, CorruptionSpec("rain", 0.8, seed=3)))
+    assert not np.array_equal(out, apply_corruption(x, "rain", 0.8, 3))
 
 
 def test_box_blur_is_scipy_uniform_filter_bit_for_bit():
@@ -133,25 +136,26 @@ def test_rain_matches_a_scipy_reference():
             ref[:, ys[keep], xs[keep]] = np.minimum(ref[:, ys[keep], xs[keep]] + 0.45, 1.0)
         for _ in range(int(np.ceil(3 * s))):
             ref = ndimage.uniform_filter(ref, size=(1, 3, 3), mode="nearest")
-        out = apply_corruption(x, CorruptionSpec("rain", s, seed=21))
+        out = apply_corruption(x, "rain", s, 21)
         assert out.tobytes() == np.clip(ref, 0.0, 1.0).tobytes()
 
 
 def test_severity_zero_is_identity_copy():
     x = generate_scene(1, SPEC).image
     for kind in CORRUPTIONS:
-        out = apply_corruption(x, CorruptionSpec(kind, 0.0, seed=1))
+        out = apply_corruption(x, kind, 0.0, 1)
         assert np.array_equal(out, x)
         assert out is not x
 
 
 def test_corruption_validation():
-    with pytest.raises(ValueError, match="unknown corruption"):
-        CorruptionSpec("blur", 0.5)
+    x = generate_scene(1, SPEC).image
+    with pytest.raises(ValueError, match="unknown corruption 'blur'"):
+        apply_corruption(x, "blur", 0.5, 0)
     with pytest.raises(ValueError, match="severity"):
-        CorruptionSpec("fog", 1.5)
+        apply_corruption(x, "fog", 1.5, 0)
     with pytest.raises(ValueError, match="expected"):
-        apply_corruption(np.zeros((16, 16)), CorruptionSpec("fog", 0.5))
+        apply_corruption(np.zeros((16, 16)), "fog", 0.5, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -200,10 +204,31 @@ def test_stream_validation():
         build_stream(SPEC, ("blur",), 1, 1, 0)
     with pytest.raises(ValueError, match="unknown corruption 'clean'"):
         build_stream(SPEC, ("clean",), 1, 1, 0)
+    with pytest.raises(ValueError, match="severity"):
+        build_stream(SPEC, ("fog",), 1, 1, 0, severity=1.5)
     with pytest.raises(ValueError, match=">= 1"):
         build_stream(SPEC, ("fog",), 0, 1, 0)
     with pytest.raises(ValueError, match="non-negative"):   # at the call, not on first next
         build_stream(SPEC, ("fog",), 1, 1, -1)
+
+
+def test_default_stream_bytes_are_pinned():
+    """The default recipe's 480 stream instances at seed 0, image and label bytes.
+
+    Every run and benchmark workload adapts on this stream, so a change that
+    should leave outputs alone must leave this hash alone. An intended change
+    to rendering or corruption, or a numpy release that changes a Generator
+    stream, updates the pin only together with a CHANGES.md entry saying why.
+    """
+    cfg = RunConfig()
+    digest = hashlib.sha256()
+    for inst in build_stream(cfg.model_config(), cfg.domains, cfg.per_domain, cfg.rounds,
+                             seed=0, severity=cfg.severity):
+        digest.update(inst.image.tobytes())
+        digest.update(inst.labels.tobytes())
+    assert inst.t == 479
+    assert digest.hexdigest() == \
+        "2b70d047222c6d061e190594f8ca4d1ea12774ad7e08538588ba2e74f4203bbd"
 
 
 def test_two_class_scenes_hold_one_object():
@@ -235,7 +260,7 @@ def test_corruption_preserves_patch_labels():
     for i in range(100):
         scene = generate_scene(1000 + i, SPEC)
         kind = CORRUPTIONS[i % len(CORRUPTIONS)]
-        corrupted = apply_corruption(scene.image, CorruptionSpec(kind, 0.8, seed=i))
+        corrupted = apply_corruption(scene.image, kind, 0.8, i)
         assert corrupted.shape == scene.image.shape
         relabeled = majority_patch_labels(scene.class_map, SPEC.patch_size, SPEC.num_classes)
         assert np.array_equal(relabeled, scene.labels)
