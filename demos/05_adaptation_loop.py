@@ -12,7 +12,7 @@ import tempfile
 import numpy as np
 
 from ttaswitch import model as m
-from ttaswitch.adaptation import AdaptationEngine
+from ttaswitch.adaptation import ET, FT, SKIP, AdaptationEngine
 from ttaswitch.checkpoint import load_checkpoint
 from ttaswitch.metrics import compute_miou
 from ttaswitch.source import train_source
@@ -35,7 +35,7 @@ print(f"\nadapting over {len(stream)} instances "
       "(FT = full tuning, ET = adapter-only tuning):")
 print(f"{'t':>3} {'domain':<6} {'loss':>7} {'tau before':>10} "
       f"{'since shift':>11} {'decision':>8}")
-gts, adapted_preds, frozen_preds = [], [], []
+gts, adapted_preds, frozen_preds, decisions = [], [], [], []
 prev_domain = stream[0].domain
 for inst in stream:
     report = engine.step(inst.image, inst.t, domain=inst.domain)
@@ -44,12 +44,13 @@ for inst in stream:
     print(f"{report.t:>3} {inst.domain:<6} {report.loss_seg:>7.4f} "
           f"{report.tau_before:>10.4f} {engine.shift_state.since_shift:>11} "
           f"{report.decision:>8}{marker}")
+    decisions.append(report.decision)
     gts.append(inst.labels)
     adapted_preds.append(report.teacher_labels)
     frozen_preds.append(m.predict(inst.image, frozen, cfg))
 
-print(f"\ndecisions: {engine.ft_count} FT, {engine.et_count} ET, "
-      f"{engine.skipped} quarantined; "
+print(f"\ndecisions: {decisions.count(FT)} FT, {decisions.count(ET)} ET, "
+      f"{decisions.count(SKIP)} quarantined; "
       f"{engine.forward_count} encoder forwards = 2 per instance")
 print("the detector tracks running statistics of the input images (channel "
       "means and\nstandard deviations, neighbour-pixel differences). An "

@@ -33,7 +33,7 @@ Per-instance step order (fixed; tests rely on it):
     teacher forward -> mask draw -> shift detection (the decision)
     -> student forward + backward (model.masked_backward)
     [-> decision_fn, when injected] -> optimizer step
-    -> threshold and detector update -> teacher EMA update + counters
+    -> threshold and detector update -> teacher EMA update
 
 With the input detector or a fixed decision, the decision comes before
 the student forward. An ET step then records that forward over a store in
@@ -44,19 +44,21 @@ backward computes no gradient the optimizer would discard. An injected
 and backpropagated, and the decision only picks the groups the optimizer
 updates.
 
-A non-finite loss anywhere in the step quarantines the instance: no
-parameter, optimizer, threshold, detector, or teacher state changes, the
-decision is recorded as "SKIP", and the adapted-step counter does not
-advance. Its report gives the unchanged tau as tau_before and tau_after
-and leaves loss_seg and loss_rec at their default NaN and teacher_labels
-at None. Any other exception propagates; neither leaves a `.grad` on the
-student.
+A non-finite loss anywhere in the step quarantines the instance: the
+engine's state is left as it was and the decision is recorded as "SKIP".
+Its report gives the unchanged tau as tau_before and tau_after and leaves
+loss_seg and loss_rec at their default NaN and teacher_labels at None.
+Any other exception propagates; neither leaves a `.grad` on the student.
+
+The engine's state is what its next step reads: the student and teacher
+stores, the Adam slots, tau and the detector state. `snapshot()` copies it
+into one plain dict, and the step reports are the one record of decisions.
 """
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -184,8 +186,8 @@ class AdaptationEngine:
     input sequence. `fixed_decision` (FT or ET) replaces it with a constant,
     the ft-only/et-only behaviour. `decision_fn(loss_seg, tau) -> bool` may
     be injected instead to decide from the loss: `decide_shift` gives the
-    loss-threshold rule. The detector state (`shift_state`) and tau are
-    tracked either way.
+    loss-threshold rule. Tau and the detector state (`shift_state`) are
+    tracked either way, and `snapshot()` copies the whole engine state.
     """
 
     def __init__(self, params: ParamStore, config: m.ModelConfig, *, lr: float = 1e-4,
@@ -218,15 +220,20 @@ class AdaptationEngine:
         self.teacher = params.subset(teacher_names).clone()
         self.tau = 0.0
         self.shift_state: ShiftState | None = None
-        self.ft_count = 0
-        self.et_count = 0
-        self.skipped = 0
         self.forward_count = 0   # encoder forwards, teacher and student alike
 
-    @property
-    def t(self) -> int:
-        """Number of instances that actually produced an update."""
-        return self.ft_count + self.et_count
+    def snapshot(self) -> dict:
+        """Copies of every value a later step reads, in one plain dict.
+
+        Each student and teacher array, each Adam slot [m, v, t], tau, and the
+        detector's mean, var and since_shift (None before the first instance).
+        """
+        return {"student": {n: p.data.copy() for n, p in self.student.items()},
+                "teacher": {n: p.data.copy() for n, p in self.teacher.items()},
+                "adam": {n: [slot[0].copy(), slot[1].copy(), slot[2]]
+                         for n, slot in self.optimizer.state.items()},
+                "tau": self.tau,
+                "detector": None if self.shift_state is None else asdict(self.shift_state)}
 
     def pseudo_label(self, image) -> np.ndarray:
         """Teacher forward on the unmasked image -> hard labels [num_patches].
@@ -260,7 +267,6 @@ class AdaptationEngine:
             self.student.zero_grad()
             if not isinstance(e, NonFiniteError):
                 raise
-            self.skipped += 1
             wall_ms = (self.clock() - start) * 1000.0
             return StepReport(t=t_index, domain=domain, decision=SKIP, wall_ms=wall_ms,
                               tau_before=self.tau, tau_after=self.tau)
@@ -268,10 +274,6 @@ class AdaptationEngine:
         self.tau = update_threshold(tau_before, loss_seg, self.alpha_l)
         self.shift_state = shift_state
         ema_update(self.teacher, self.student, self.alpha)
-        if use_ft:
-            self.ft_count += 1
-        else:
-            self.et_count += 1
         wall_ms = (self.clock() - start) * 1000.0
         return StepReport(t=t_index, domain=domain, decision=FT if use_ft else ET,
                           wall_ms=wall_ms, loss_seg=loss_seg, loss_rec=loss_rec,

@@ -716,8 +716,9 @@ ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 class Optimizer:
     """Adam (default) or plain SGD over a ParamStore, with group filtering.
 
-    Moment buffers and step counts are kept per parameter name and are
-    shared across steps regardless of which group filter each step used.
+    `state` maps each parameter name Adam has stepped to its slot
+    [m, v, t]: the two moment buffers and the step count. A slot is shared
+    across steps regardless of which group filter each step used.
     Parameters whose `.grad` is None are skipped without advancing state.
     """
 
@@ -725,9 +726,7 @@ class Optimizer:
         if kind not in ("adam", "sgd"):
             raise ValueError(f"unknown optimizer kind '{kind}'")
         self.kind = kind
-        self._m: dict[str, np.ndarray] = {}
-        self._v: dict[str, np.ndarray] = {}
-        self._t: dict[str, int] = {}
+        self.state: dict[str, list] = {}
 
     def step(self, params, group_filter, lr: float) -> list[str]:
         """Update parameters whose group is in `group_filter`; clear all grads.
@@ -751,13 +750,11 @@ class Optimizer:
             if self.kind == "sgd":
                 p.data -= lr * g
             else:
-                m = self._m.get(name)
-                if m is None:
-                    m = self._m[name] = np.zeros_like(p.data)
-                    self._v[name] = np.zeros_like(p.data)
-                    self._t[name] = 0
-                v = self._v[name]
-                t = self._t[name] = self._t[name] + 1
+                slot = self.state.get(name)
+                if slot is None:
+                    slot = self.state[name] = [np.zeros_like(p.data), np.zeros_like(p.data), 0]
+                m, v, t = slot
+                t = slot[2] = t + 1
                 m *= ADAM_BETA1
                 m += (1.0 - ADAM_BETA1) * g
                 v *= ADAM_BETA2

@@ -30,6 +30,7 @@ import csv
 import math
 import time
 from dataclasses import dataclass, fields, replace
+from itertools import groupby
 from pathlib import Path
 
 import numpy as np
@@ -38,7 +39,7 @@ from .adaptation import ET, FT, SKIP, AdaptationEngine, StepReport
 from .checkpoint import load_checkpoint
 from .metrics import compute_miou
 from .model import ModelConfig
-from .streams import CORRUPTIONS, MAX_CLASSES, build_stream
+from .streams import MAX_CLASSES, build_stream, check_corruption
 
 MODES = ("hybrid", "ft-only", "et-only", "no-adapt")
 NO_DECISION = "NA"   # per-instance decision tag in no-adapt mode
@@ -81,15 +82,14 @@ class RunConfig(ModelConfig):
             raise ValueError(f"mode must be one of {MODES}, got '{self.mode}'")
         if self.optimizer not in ("adam", "sgd"):
             raise ValueError(f"optimizer must be adam or sgd, got '{self.optimizer}'")
-        if not self.domains or not set(self.domains) <= set(CORRUPTIONS):
-            raise ValueError(f"domains must be one or more of {CORRUPTIONS}, "
-                             f"got {self.domains}")
+        if not self.domains:
+            raise ValueError("domains must name one or more corruptions")
+        for domain in self.domains:
+            check_corruption(domain, self.severity)
         if len(set(self.domains)) != len(self.domains):
             raise ValueError(f"domains must not repeat, got {self.domains}")
         if self.per_domain < 1 or self.rounds < 1:
             raise ValueError("per_domain and rounds must be >= 1")
-        if not 0.0 <= self.severity <= 1.0:
-            raise ValueError("severity must lie in [0, 1]")
         if self.source_scenes < 1 or self.batch_size < 1 or self.source_epochs < 0:
             raise ValueError("source_scenes/batch_size must be >= 1, source_epochs >= 0")
         if not all(math.isfinite(lr) and lr > 0 for lr in (self.lr_source, self.lr_tta)):
@@ -251,11 +251,10 @@ def run_experiment(cfg: RunConfig, checkpoint_path, out_dir=None,
     total = _tally(rows)
     mean_miou, ft, et, skip = (total["miou_mean"], total["ft"], total["et"],
                                total["skip"])
-    if cfg.mode != "no-adapt":
-        if (ft, et, skip) != (engine.ft_count, engine.et_count, engine.skipped):
-            raise AssertionError("per-instance rows disagree with engine counters")
+    longest_skip = max((len(list(run)) for decision, run in
+                        groupby(r["decision"] for r in rows) if decision == SKIP), default=0)
     summary = (f"mode={cfg.mode} instances={len(rows)} mean_miou={mean_miou!r} "
-               f"ft={ft} et={et} skipped={skip}\n")
+               f"ft={ft} et={et} skipped={skip} longest_skip={longest_skip}\n")
     (out_dir / "summary.txt").write_text(summary)
     return RunResult(mode=cfg.mode, rows=rows, mean_miou=mean_miou, ft_count=ft,
                      et_count=et, skip_count=skip,

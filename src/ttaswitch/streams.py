@@ -107,7 +107,8 @@ def majority_patch_labels(class_map: np.ndarray, patch_size: int, num_classes: i
 # corruptions
 # ---------------------------------------------------------------------------
 
-def _check_corruption(kind: str, severity: float) -> None:
+def check_corruption(kind: str, severity: float) -> None:
+    """Refuse an unknown corruption kind or a severity outside [0, 1]."""
     if kind not in CORRUPTIONS:
         raise ValueError(f"unknown corruption '{kind}' (expected one of {CORRUPTIONS})")
     if not 0.0 <= severity <= 1.0:
@@ -116,7 +117,7 @@ def _check_corruption(kind: str, severity: float) -> None:
 
 def apply_corruption(image: np.ndarray, kind: str, severity: float, seed: int) -> np.ndarray:
     """Corrupt pixels; geometry (and therefore labels) is untouched."""
-    _check_corruption(kind, severity)
+    check_corruption(kind, severity)
     x = np.asarray(image, dtype=np.float64)
     if x.ndim != 3:
         raise ValueError(f"apply_corruption: expected [c, h, w], got {x.shape}")
@@ -230,7 +231,7 @@ def build_stream(config: ModelConfig, domains, per_domain: int, rounds: int, see
     if not domains:
         raise ValueError("build_stream: at least one domain required")
     for d in domains:
-        _check_corruption(d, severity)
+        check_corruption(d, severity)
     if per_domain < 1 or rounds < 1:
         raise ValueError("build_stream: per_domain and rounds must be >= 1")
     schedule = [(rnd, domain) for rnd in range(rounds) for domain in domains

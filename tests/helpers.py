@@ -6,6 +6,7 @@ perturbations of raw numpy buffers and never touches `.grad`.
 """
 from __future__ import annotations
 
+import hashlib
 import json
 import struct
 import weakref
@@ -61,6 +62,39 @@ def make_fake_clock(tick: float = 0.001):
         return state["t"]
 
     return clock
+
+
+def digest(value) -> str:
+    """SHA-256 of a snapshot value, dict keys in sorted order.
+
+    Each dict and list is tagged with its length, each array with its dtype
+    and shape before its bytes, and any other value is fed as its repr.
+    """
+    h = hashlib.sha256()
+
+    def feed(v):
+        if isinstance(v, dict):
+            h.update(b"d%d" % len(v))
+            for k in sorted(v):
+                h.update(repr(k).encode())
+                feed(v[k])
+        elif isinstance(v, list):
+            h.update(b"l%d" % len(v))
+            for item in v:
+                feed(item)
+        elif isinstance(v, np.ndarray):
+            h.update(f"a{v.dtype.str}{v.shape}".encode())
+            h.update(v.tobytes())
+        else:
+            h.update(f"s{v!r}".encode())
+
+    feed(value)
+    return h.hexdigest()
+
+
+def state_digest(engine) -> str:
+    """SHA-256 over the engine's sorted snapshot: equal digests, equal state."""
+    return digest(engine.snapshot())
 
 
 def replay_stream(run_dir) -> tuple:

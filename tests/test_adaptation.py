@@ -1,13 +1,12 @@
 import gc
 import math
-import pickle
 from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from aug_stub import MultiScaleFlipTeacher
-from helpers import TINY, make_fake_clock, track_tapes
+from helpers import TINY, digest, make_fake_clock, state_digest, track_tapes
 from ttaswitch import autodiff
 from ttaswitch.adaptation import (ET, FT, SKIP, TEACHER_GROUPS, AdaptationEngine, StepReport,
                                   decide_shift, detect_shift, ema_update, ft_window,
@@ -37,6 +36,11 @@ def fresh_engine(trained, **kw):
 def instances(n, seed=3, severity=0.8):
     return list(build_stream(TINY, ("fog", "night"), per_domain=(n + 1) // 2,
                              rounds=1, seed=seed, severity=severity))[:n]
+
+
+def adam_steps(engine) -> dict:
+    """Adam's step count per parameter name, read from the snapshot."""
+    return {n: slot[2] for n, slot in engine.snapshot()["adam"].items()}
 
 
 # ---------------------------------------------------------------------------
@@ -129,8 +133,7 @@ def test_first_decision_is_ft_and_counters(trained):
     assert report.decision == FT
     assert report.tau_before == 0.0
     assert report.tau_after == update_threshold(0.0, report.loss_seg, engine.alpha_l)
-    assert (engine.ft_count, engine.et_count, engine.skipped) == (1, 0, 0)
-    assert engine.t == 1
+    assert adam_steps(engine) == dict.fromkeys(engine.student.names(), 1)
     assert report.teacher_labels.shape == (TINY.num_patches,)
     assert np.issubdtype(report.teacher_labels.dtype, np.integer)
     assert set(report.teacher_labels) <= set(range(TINY.num_classes))
@@ -138,15 +141,17 @@ def test_first_decision_is_ft_and_counters(trained):
 
 def test_report_recurrence_over_stream(trained):
     engine = fresh_engine(trained, decision_fn=decide_shift)
-    prev_tau = 0.0
+    prev_tau, decisions = 0.0, []
     for i, inst in enumerate(instances(6)):
         r = engine.step(inst.image, t_index=i, domain=inst.domain)
+        decisions.append(r.decision)
         assert r.tau_before == prev_tau
         assert (r.decision == FT) == decide_shift(r.loss_seg, r.tau_before)
         assert r.tau_after == update_threshold(r.tau_before, r.loss_seg, engine.alpha_l)
         assert np.isfinite(r.loss_seg) and np.isfinite(r.loss_rec)
         prev_tau = r.tau_after
-    assert engine.t == 6 == engine.ft_count + engine.et_count
+    assert decisions.count(FT) + decisions.count(ET) == 6   # every instance adapted
+    assert {adam_steps(engine)[n] for n in engine.student.group_names("adapter")} == {6}
 
 
 def test_repeat_instance_goes_et_at_alpha_l_zero(trained):
@@ -161,7 +166,9 @@ def test_repeat_instance_goes_et_at_alpha_l_zero(trained):
     assert r2.loss_seg < r1.loss_seg
     assert r2.tau_before == r1.loss_seg
     assert r2.decision == ET
-    assert (engine.ft_count, engine.et_count) == (1, 1)
+    adapters = set(engine.student.group_names("adapter"))
+    assert adam_steps(engine) == {n: 2 if n in adapters else 1
+                                  for n in engine.student.names()}
 
 
 def test_et_step_touches_only_adapters(trained):
@@ -235,49 +242,84 @@ def test_teacher_ema_matches_manual_computation(trained):
 def test_quarantine_on_nonfinite_input(trained):
     engine = fresh_engine(trained)
     good = instances(1)[0]
-    student_before = engine.student.snapshot_bytes()
-    teacher_before = engine.teacher.snapshot_bytes()
+    before = state_digest(engine)
     bad = np.full((3, TINY.image_size, TINY.image_size), np.inf)
     report = engine.step(bad, t_index=0, domain="fog")
     assert report.decision == SKIP
     assert np.isnan(report.loss_seg) and np.isnan(report.loss_rec)
-    assert report.tau_before == report.tau_after == engine.tau == 0.0
-    assert engine.shift_state is None         # detector never saw the input
+    assert report.tau_before == report.tau_after == 0.0
     assert report.teacher_labels is None
-    assert engine.student.snapshot_bytes() == student_before
-    assert engine.teacher.snapshot_bytes() == teacher_before
-    assert engine.optimizer._t == {}          # optimizer state untouched
-    assert engine.skipped == 1 and engine.t == 0
+    snap = engine.snapshot()
+    assert snap["tau"] == 0.0
+    assert snap["detector"] is None           # detector never saw the input
+    assert snap["adam"] == {}                 # optimizer state untouched
+    assert state_digest(engine) == before     # student and teacher too
     assert all(engine.student[n].grad is None for n in engine.student.names())
     follow_up = engine.step(good.image, t_index=1, domain=good.domain)
     assert follow_up.decision == FT           # first instance the detector sees
-    assert engine.t == 1 and engine.skipped == 1
+    reports = [report, follow_up]
 
-    # SKIPs after real updates leave tau and the detector state byte-identical:
+    # SKIPs after real updates leave the whole state byte-identical:
     # one from the input, one raised after the detector has run
-    state = engine.shift_state
-    state_bytes = (state.mean.tobytes(), state.var.tobytes(), state.since_shift)
-    tau = engine.tau
-    assert engine.step(bad, t_index=2, domain="fog").decision == SKIP
+    before = state_digest(engine)
+    reports.append(engine.step(bad, t_index=2, domain="fog"))
+    assert reports[-1].decision == SKIP
+    assert state_digest(engine) == before
 
     def failing_decision(loss, tau):
         raise NonFiniteError("decision on non-finite values")
 
     # a decision_fn runs after the student's backward; what it raises leaves
-    # no .grad and Adam's state as it was, and only a NonFiniteError is a SKIP
-    adam = pickle.dumps(vars(engine.optimizer))   # the moments, bytes and all
+    # no .grad and Adam's slots as they were, and only a NonFiniteError is a SKIP
     engine.decision_fn = lambda loss, tau: {}[loss]
     with pytest.raises(KeyError):
         engine.step(good.image, t_index=3, domain=good.domain)
     assert all(engine.student[n].grad is None for n in engine.student.names())
+    assert state_digest(engine) == before
     engine.decision_fn = failing_decision
-    assert engine.step(good.image, t_index=4, domain=good.domain).decision == SKIP
+    reports.append(engine.step(good.image, t_index=4, domain=good.domain))
+    assert reports[-1].decision == SKIP
     assert all(engine.student[n].grad is None for n in engine.student.names())
-    assert pickle.dumps(vars(engine.optimizer)) == adam
-    assert engine.shift_state is state
-    assert (state.mean.tobytes(), state.var.tobytes(),
-            state.since_shift) == state_bytes
-    assert engine.tau == tau and engine.skipped == 3 and engine.t == 1
+    assert state_digest(engine) == before
+    assert [r.decision for r in reports] == [SKIP, FT, SKIP, SKIP]
+
+
+def test_snapshot_covers_every_part_of_the_state(trained):
+    # An FT step moves every part of the snapshot, a following ET step leaves
+    # every array outside the adapters and its Adam slot as they were, and a
+    # SKIP moves nothing while it still counts the teacher forward it tried.
+    # A snapshot holds copies, so no later step moves it.
+    plan = iter([True, False])
+    engine = fresh_engine(trained, decision_fn=lambda loss, tau: next(plan))
+    names = engine.student.names()
+    frozen = [n for n in names if engine.student.group_of(n) != "adapter"]
+
+    def parts():
+        snap = engine.snapshot()
+        return {**{("student", n): digest(a) for n, a in snap["student"].items()},
+                **{("teacher", n): digest(a) for n, a in snap["teacher"].items()},
+                **{("adam", n): digest(snap["adam"].get(n)) for n in names},
+                ("tau",): digest(snap["tau"]), ("detector",): digest(snap["detector"])}
+
+    first, second = instances(2)
+    before = parts()
+    kept = engine.snapshot()
+    kept_digest = digest(kept)
+    assert len(before) == 2 * len(names) + len(engine.teacher.names()) + 2
+    assert engine.step(first.image, 0, first.domain).decision == FT
+    after_ft = parts()
+    assert [k for k in before if after_ft[k] == before[k]] == []
+    assert engine.step(second.image, 1, second.domain).decision == ET
+    after_et = parts()
+    assert [k for k in after_ft if after_et[k] == after_ft[k]] == \
+        [(kind, n) for kind in ("student", "adam") for n in frozen]
+
+    forwards, state = engine.forward_count, state_digest(engine)
+    bad = np.full((3, TINY.image_size, TINY.image_size), np.inf)
+    assert engine.step(bad, 2, "fog").decision == SKIP
+    assert state_digest(engine) == state
+    assert engine.forward_count == forwards + 1   # the teacher forward it tried
+    assert digest(kept) == kept_digest
 
 
 def test_quarantined_step_releases_its_tape(trained, monkeypatch):
@@ -344,7 +386,7 @@ def test_pruned_et_tape_matches_the_full_tape(trained, monkeypatch):
             assert pruned_nodes < full_nodes == nodes[0], i   # nodes[0]: step 0, FT
         else:
             assert pruned_grads == full_grads and pruned_nodes == full_nodes, i
-    assert_same_state(pruned, full)
+    assert state_digest(pruned) == state_digest(full)
 
 
 @pytest.mark.parametrize("fixed, constant", [(ET, False), (FT, True)])
@@ -363,8 +405,7 @@ def test_fixed_decision_matches_constant_decision_fn(trained, monkeypatch, fixed
         fixed_nodes, reference_nodes = nodes[-2:]
         assert (fixed_nodes < reference_nodes if fixed == ET
                 else fixed_nodes == reference_nodes), i
-    assert_same_state(engine, reference)
-    assert engine.shift_state.mean.tobytes() == reference.shift_state.mean.tobytes()
+    assert state_digest(engine) == state_digest(reference)
 
 
 def test_fixed_decision_validation(trained, monkeypatch):
@@ -389,17 +430,6 @@ def assert_same_report(got: StepReport, want: StepReport, i: int) -> None:
             (i, f.name)
 
 
-def assert_same_state(engine, other) -> None:
-    """Student, teacher and Adam state are byte-identical."""
-    for store in ("student", "teacher"):
-        assert getattr(engine, store).snapshot_bytes() == getattr(other, store).snapshot_bytes()
-    for moments in ("_m", "_v"):
-        a, b = getattr(engine.optimizer, moments), getattr(other.optimizer, moments)
-        assert a.keys() == b.keys()
-        assert all(a[n].tobytes() == b[n].tobytes() for n in a), moments
-    assert engine.optimizer._t == other.optimizer._t
-
-
 def test_full_run_is_reproducible(trained):
     outputs = []
     for _ in range(2):
@@ -408,7 +438,7 @@ def test_full_run_is_reproducible(trained):
                    for i, inst in enumerate(instances(5))]
         outputs.append(([(r.decision, r.loss_seg, r.loss_rec, r.tau_after,
                           r.wall_ms) for r in reports],
-                        engine.student.snapshot_bytes()))
+                        state_digest(engine)))
     assert outputs[0] == outputs[1]
 
 

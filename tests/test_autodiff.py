@@ -733,20 +733,20 @@ def test_adam_moments_shared_across_filters():
     opt = Optimizer("adam")
     store["ada.w"].grad = np.array([1.0])
     opt.step(store, {"adapter"}, lr=0.1)
-    assert opt._t["ada.w"] == 1 and "enc.w" not in opt._t
+    assert opt.state["ada.w"][2] == 1 and "enc.w" not in opt.state
     store["ada.w"].grad = np.array([1.0])
     store["enc.w"].grad = np.array([1.0])
     opt.step(store, {"adapter", "backbone"}, lr=0.1)
-    assert opt._t["ada.w"] == 2 and opt._t["enc.w"] == 1
+    assert opt.state["ada.w"][2] == 2 and opt.state["enc.w"][2] == 1
     # step 3: the adapter, inside the filter, has no gradient. It is skipped
     # without advancing state while its neighbour steps.
-    before = (store.snapshot_bytes(["ada.w"]), opt._m["ada.w"].tobytes(),
-              opt._v["ada.w"].tobytes())
+    m, v, _ = opt.state["ada.w"]
+    before = (store.snapshot_bytes(["ada.w"]), m.tobytes(), v.tobytes())
     store["enc.w"].grad = np.array([1.0])
     assert opt.step(store, {"adapter", "backbone"}, lr=0.1) == ["enc.w"]
-    assert (store.snapshot_bytes(["ada.w"]), opt._m["ada.w"].tobytes(),
-            opt._v["ada.w"].tobytes()) == before
-    assert opt._t["ada.w"] == 2 and opt._t["enc.w"] == 2
+    m, v, _ = opt.state["ada.w"]
+    assert (store.snapshot_bytes(["ada.w"]), m.tobytes(), v.tobytes()) == before
+    assert opt.state["ada.w"][2] == 2 and opt.state["enc.w"][2] == 2
 
 
 def test_adam_matches_reference_expression_bitwise():
@@ -780,6 +780,7 @@ def test_adam_matches_reference_expression_bitwise():
         for name, (p, m, v, t) in ref.items():
             assert store[name].data.tobytes() == p.tobytes(), (step, name)
             if t:
-                assert opt._m[name].tobytes() == m.tobytes(), (step, name)
-                assert opt._v[name].tobytes() == v.tobytes(), (step, name)
-                assert opt._t[name] == t
+                opt_m, opt_v, opt_t = opt.state[name]
+                assert opt_m.tobytes() == m.tobytes(), (step, name)
+                assert opt_v.tobytes() == v.tobytes(), (step, name)
+                assert opt_t == t

@@ -168,6 +168,20 @@ def test_hybrid_run_artifacts_and_schema(checkpoint, tmp_path):
     assert result.ft_count + result.et_count == 12
 
 
+def test_summary_shows_the_stuck_engine(tmp_path):
+    # A default-size source store (0 epochs: `init_params`) under SGD at
+    # lr 1e3 diverges: five full-tuning steps, then every instance is
+    # quarantined. The summary names the longest run of SKIP rows.
+    cfg = replace(RunConfig(), optimizer="sgd", lr_tta=1e3, domains=("fog", "night"),
+                  per_domain=10, rounds=1, seed=0)
+    ckpt = train_source(cfg.model_config(), 1, 0, 8, 1e-3, 0, tmp_path / "src")
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        result = run_experiment(cfg, ckpt, tmp_path / "run", clock=make_fake_clock())
+    assert [r["decision"] for r in result.rows] == ["FT"] * 5 + ["SKIP"] * 15
+    summary = (tmp_path / "run" / "summary.txt").read_text()
+    assert summary.endswith(" ft=5 et=0 skipped=15 longest_skip=15\n")
+
+
 def test_echoed_config_replays_the_run(checkpoint, tmp_path):
     cfg = tiny_cfg(severity=0.7, out_dir="runs/elsewhere")
     run_dir = tmp_path / "tiny replay"
