@@ -5,17 +5,18 @@ Layout (all integers little-endian):
     magic    4 bytes  b"HTTA"
     version  u32
     hdr_len  u32, then hdr_len bytes of canonical JSON:
-             {"config": {...}, "entries": [[name, shape, group], ...]},
-             where "config" holds every `ModelConfig` field and no
-             other, so a `RunConfig` saves as its `model_config()`
-    payload  for each entry in header order, its values as little-endian
-             float64 in C order
+             {"adapters": <bool>, "config": {...}}, where "config" holds
+             every `ModelConfig` field and no other, so a `RunConfig` saves
+             as its `model_config()`
+    payload  for each row of `model.parameter_layout(config,
+             include_adapters=adapters)` in table order, its values as
+             little-endian float64 in C order
     crc      u32 CRC32 of every preceding byte
 
-The entries must fit `model.parameter_layout` of the config (with or
-without adapters), so a store that does not fit its config can be neither
-saved nor loaded. A file of any other version is refused; version 4
-stopped recording `channels`, which is always `model.CHANNELS`. Round
+The header records only what the layout table cannot give: names, shapes
+and groups come from the table. A store saves only if it fits the table
+of its config (with or without adapters), and a loaded store is built from
+the table, in its order. A file of any other version is refused. Round
 trips are bit-exact and files are machine-portable: endianness is fixed
 and nothing is padded.
 """
@@ -31,27 +32,23 @@ from pathlib import Path
 import numpy as np
 
 from .autodiff import Tensor
-from .model import ModelConfig, check_layout
+from .model import ModelConfig, check_layout, parameter_layout
 from .params import ParamStore
 
 MAGIC = b"HTTA"
-VERSION = 4
+VERSION = 5
 _PREFIX = struct.Struct("<4sII")   # magic, version, header length
-
-
-def _check(entries, config: ModelConfig) -> None:
-    """Hold entries to the layout; an adapter-free store to the one without adapters."""
-    check_layout(entries, config, include_adapters=any(g == "adapter" for _, _, g in entries))
 
 
 def save_checkpoint(path, params: ParamStore, config: ModelConfig) -> Path:
     path = Path(path)
-    entries = params.entries()
-    _check(entries, config)
-    header = json.dumps({"config": asdict(config.model_config()), "entries": entries},
+    adapters = bool(params.group_names("adapter"))
+    check_layout(params.entries(), config, include_adapters=adapters)
+    header = json.dumps({"adapters": adapters, "config": asdict(config.model_config())},
                         sort_keys=True, separators=(",", ":")).encode("utf-8")
     body = b"".join([_PREFIX.pack(MAGIC, VERSION, len(header)), header]
-                    + [np.ascontiguousarray(params[n].data, dtype="<f8") for n, _, _ in entries])
+                    + [np.ascontiguousarray(params[name].data, dtype="<f8")
+                       for name, *_ in parameter_layout(config, adapters)])
     with path.open("wb") as fh:
         fh.write(body)
         fh.write(struct.pack("<I", zlib.crc32(body)))
@@ -71,17 +68,14 @@ def load_checkpoint(path) -> tuple[ParamStore, ModelConfig]:
     start, body_end = _PREFIX.size + header_len, len(raw) - 4
     try:
         header = json.loads(raw[_PREFIX.size:start].decode("utf-8"))
+        adapters = header["adapters"]
+        if type(adapters) is not bool:
+            raise ValueError(f"adapters must be a boolean, got {adapters!r}")
         config = ModelConfig(**header["config"])
-        entries = []
-        for name, shape, group in header["entries"]:
-            if not all(type(dim) is int for dim in shape):
-                raise ValueError(f"non-integer shape {shape} for {name!r}")
-            # str(): a name or group of another JSON type reads as a misfit, not a crash
-            entries.append((str(name), tuple(shape), str(group)))
     except (ValueError, TypeError, KeyError) as e:
         raise ValueError(f"invalid checkpoint header: {e}") from None
-    _check(entries, config)
-    counts = [math.prod(shape) for _, shape, _ in entries]
+    layout = parameter_layout(config, adapters)
+    counts = [math.prod(shape) for _, shape, _, _ in layout]
     end = start + 8 * sum(counts)
     if end > body_end:
         raise ValueError("truncated checkpoint")
@@ -89,7 +83,7 @@ def load_checkpoint(path) -> tuple[ParamStore, ModelConfig]:
         raise ValueError("checkpoint has trailing bytes")
     values = np.frombuffer(raw, dtype="<f8", count=sum(counts), offset=start)
     store = ParamStore()
-    for (name, shape, group), lo, n in zip(entries, np.cumsum([0] + counts), counts):
+    for (name, shape, group, _), lo, n in zip(layout, np.cumsum([0] + counts), counts):
         store.add(name, Tensor(values[lo:lo + n].reshape(shape).astype(np.float64),
                                requires_grad=True), group)
     return store, config

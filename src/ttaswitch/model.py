@@ -127,9 +127,9 @@ def parameter_layout(config: ModelConfig, include_adapters: bool = True) -> list
     """Every parameter as (name, shape, group, init), in store order.
 
     `init` is "normal" (N(0, 0.02), drawn in table order), "zeros" or
-    "ones". This table is the one schema of the parameters: `init_params`
-    and `insert_adapters` build stores from it, and `check_layout` holds
-    any store or checkpoint header to it.
+    "ones". This table is the one schema of the parameters: `init_params`,
+    `insert_adapters` and `checkpoint.load_checkpoint` build stores from
+    it, and `check_layout` holds any other store to it.
     """
     d, f, r, pd = config.embed_dim, config.mlp_dim, config.adapter_dim, config.patch_dim
     bb = "backbone"

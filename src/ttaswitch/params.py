@@ -2,9 +2,9 @@
 
 Every parameter is a float64 Tensor registered under a unique dotted name
 and tagged with one of five groups. The groups drive the optimizer's
-group filter (full tuning updates all of them, efficient tuning a subset),
-the teacher snapshot (which drops the reconstruction head and mask token),
-and the checkpoint header. `model.parameter_layout` assigns each group.
+group filter (full tuning updates all of them, efficient tuning a subset)
+and the teacher snapshot (which drops the reconstruction head and mask
+token). `model.parameter_layout` assigns each group.
 """
 from __future__ import annotations
 

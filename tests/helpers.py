@@ -7,11 +7,9 @@ perturbations of raw numpy buffers and never touches `.grad`.
 from __future__ import annotations
 
 import hashlib
-import json
 import struct
 import weakref
 import zlib
-from dataclasses import asdict
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -109,14 +107,6 @@ def write_raw_checkpoint(path, header: bytes, payload: bytes = b"", version: int
     body = struct.pack("<4sII", b"HTTA", version, len(header)) + header + payload
     path.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
     return path
-
-
-def write_unchecked_checkpoint(path, params, config):
-    """A current-version checkpoint of any store, written without the layout check."""
-    header = json.dumps({"config": asdict(config), "entries": params.entries()},
-                        sort_keys=True, separators=(",", ":")).encode("utf-8")
-    return write_raw_checkpoint(path, header,
-                                b"".join(params[n].data.tobytes() for n in params.names()))
 
 
 def track_tapes(monkeypatch) -> SimpleNamespace:

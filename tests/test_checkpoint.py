@@ -6,12 +6,21 @@ from dataclasses import asdict, replace
 import numpy as np
 import pytest
 
-from helpers import TINY, write_raw_checkpoint, write_unchecked_checkpoint
+from helpers import TINY, write_raw_checkpoint
 from ttaswitch.checkpoint import MAGIC, load_checkpoint, save_checkpoint
 from ttaswitch.harness import RunConfig
-from ttaswitch.model import ModelConfig, init_params
+from ttaswitch.model import ModelConfig, init_params, parameter_layout
 
 WIDE = replace(TINY, embed_dim=32)   # the same names, other shapes
+
+
+def _header(**fields) -> bytes:
+    return json.dumps(fields, sort_keys=True, separators=(",", ":")).encode("utf-8")
+
+
+def _payload(params) -> bytes:
+    """The store's values in its own order, as a checkpoint payload holds them."""
+    return b"".join(params[n].data.tobytes() for n in params.names())
 
 
 @pytest.fixture()
@@ -85,15 +94,13 @@ def test_unsupported_version(saved):
         load_checkpoint(path)
 
 
-def test_version_3_file_refused(tmp_path):
-    # version 3 recorded channels in the config; the bytes are otherwise alike
+def test_version_4_file_refused(tmp_path):
+    # version 4 listed every [name, shape, group] entry in its header
     params = init_params(TINY, seed=0)
-    header = json.dumps({"config": {**asdict(TINY), "channels": 3},
-                         "entries": params.entries()},
-                        sort_keys=True, separators=(",", ":")).encode("utf-8")
-    payload = b"".join(params[n].data.tobytes() for n in params.names())
-    path = write_raw_checkpoint(tmp_path / "v3.htta", header, payload, version=3)
-    with pytest.raises(ValueError, match="unsupported checkpoint version 3"):
+    path = write_raw_checkpoint(tmp_path / "v4.htta",
+                                _header(config=asdict(TINY), entries=params.entries()),
+                                _payload(params), version=4)
+    with pytest.raises(ValueError, match="unsupported checkpoint version 4"):
         load_checkpoint(path)
 
 
@@ -135,25 +142,32 @@ def test_save_refuses_store_that_does_not_fit_config(tmp_path):
     assert not (tmp_path / "w.htta").exists()
 
 
-def test_load_refuses_header_that_does_not_fit_config(tmp_path):
+def test_header_and_payload_must_agree(tmp_path):
     fitting = init_params(TINY, seed=0)
+    with pytest.raises(ValueError, match="truncated checkpoint"):
+        load_checkpoint(write_raw_checkpoint(
+            tmp_path / "w.htta", _header(adapters=True, config=asdict(WIDE)), _payload(fitting)))
+    with pytest.raises(ValueError, match="checkpoint has trailing bytes"):
+        load_checkpoint(write_raw_checkpoint(
+            tmp_path / "a.htta", _header(adapters=False, config=asdict(TINY)), _payload(fitting)))
+    # a store in any order saves in table order and loads back in it
     reordered = fitting.subset(reversed(fitting.names()))
-    loaded, _ = load_checkpoint(write_unchecked_checkpoint(tmp_path / "r.htta", reordered, TINY))
-    assert loaded.names() == reordered.names()   # any order fits; file order is kept
-    path = write_unchecked_checkpoint(tmp_path / "w.htta", init_params(WIDE, seed=0), TINY)
-    with pytest.raises(ValueError, match="mismatched .*patch_embed.w"):
-        load_checkpoint(path)
+    path = save_checkpoint(tmp_path / "r.htta", reordered, TINY)
+    loaded, _ = load_checkpoint(path)
+    assert loaded.names() == [name for name, *_ in parameter_layout(TINY)]
+    assert loaded.snapshot_bytes() == fitting.snapshot_bytes()
+    assert path.read_bytes() == save_checkpoint(tmp_path / "f.htta", fitting, TINY).read_bytes()
 
 
 def test_malformed_header_rejected(tmp_path):
     with pytest.raises(ValueError, match="invalid checkpoint header"):
         load_checkpoint(write_raw_checkpoint(tmp_path / "j.htta", b"{not json"))
-    params = init_params(TINY, seed=0)
-    entries = [[n, [float(d) for d in s], g] for n, s, g in params.entries()]
-    header = json.dumps({"config": asdict(TINY), "entries": entries}).encode("utf-8")
-    payload = b"".join(params[n].data.tobytes() for n in params.names())
-    with pytest.raises(ValueError, match="non-integer shape"):
-        load_checkpoint(write_raw_checkpoint(tmp_path / "f.htta", header, payload))
+    payload = _payload(init_params(TINY, seed=0))
+    for header in (_header(config=asdict(TINY)),
+                   _header(adapters=1, config=asdict(TINY)),
+                   _header(adapters=True, config={**asdict(TINY), "channels": 3})):
+        with pytest.raises(ValueError, match="invalid checkpoint header"):
+            load_checkpoint(write_raw_checkpoint(tmp_path / "h.htta", header, payload))
 
 
 def test_adapter_free_store_saves_and_partial_adapters_do_not(tmp_path):

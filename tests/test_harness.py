@@ -1,10 +1,11 @@
+import json
 import math
 from dataclasses import asdict, replace
 from pathlib import Path
 
 import pytest
 
-from helpers import TINY, make_fake_clock, replay_stream, write_unchecked_checkpoint
+from helpers import TINY, make_fake_clock, replay_stream, write_raw_checkpoint
 from ttaswitch.checkpoint import save_checkpoint
 from ttaswitch.harness import (MODES, PER_INSTANCE_COLUMNS, ROUND_SUMMARY_COLUMNS,
                                RunConfig, format_config, load_config,
@@ -180,6 +181,10 @@ def test_summary_shows_the_stuck_engine(tmp_path):
     assert [r["decision"] for r in result.rows] == ["FT"] * 5 + ["SKIP"] * 15
     summary = (tmp_path / "run" / "summary.txt").read_text()
     assert summary.endswith(" ft=5 et=0 skipped=15 longest_skip=15\n")
+    assert measure_throughput(result)[1] == 1.25   # a SKIP costs its teacher forward alone
+    result.forward_count -= 1   # fewer than one forward per SKIP
+    with pytest.raises(AssertionError, match="forwards"):
+        measure_throughput(result)
 
 
 def test_echoed_config_replays_the_run(checkpoint, tmp_path):
@@ -289,11 +294,16 @@ def test_checkpoint_that_does_not_fit_its_config_refused_before_writing(tmp_path
     cfg = tiny_cfg()
     wide = init_params(replace(cfg.model_config(), embed_dim=32), seed=0)
     bare = init_params(cfg.model_config(), seed=0, include_adapters=False)
-    paths = (write_unchecked_checkpoint(tmp_path / "wide.htta", wide, cfg.model_config()),
-             save_checkpoint(tmp_path / "bare.htta", bare, cfg.model_config()))
-    for path in paths:
+    # the wide store's payload under a header for cfg: the layout leaves bytes over
+    header = json.dumps({"adapters": True, "config": asdict(cfg.model_config())}).encode()
+    payload = b"".join(wide[n].data.tobytes() for n in wide.names())
+    paths = ((write_raw_checkpoint(tmp_path / "wide.htta", header, payload),
+              "checkpoint has trailing bytes"),
+             (save_checkpoint(tmp_path / "bare.htta", bare, cfg.model_config()),
+              "does not fit the config"))
+    for path, refusal in paths:
         for run in (run_experiment, run_mode_comparison):
-            with pytest.raises(ValueError, match="does not fit the config"):
+            with pytest.raises(ValueError, match=refusal):
                 run(cfg, path, tmp_path / "out")
             assert not (tmp_path / "out").exists(), (path.name, run.__name__)
 
