@@ -2,9 +2,12 @@
 
 A Tensor wraps a C-contiguous float64 ndarray. Primitive operations run
 eagerly; while a Tape is active (see `recording`), every application whose
-inputs require gradients is appended to the tape. `backward` replays the
+inputs require gradients is appended to the tape. `backward` walks the
 tape once, in reverse, accumulating vector-Jacobian products into the
-`.grad` of each reachable leaf.
+`.grad` of each reachable leaf. The walk consumes the tape: each entry
+becomes None as the walk reaches it, so the arrays that only that node held
+are freed while the walk goes on, and a second `backward` over the same
+tape raises GraphError. The list keeps its length.
 
 Non-finite values are an error state everywhere: constructing a tensor
 from, or producing, NaN/Inf raises NonFiniteError instead of propagating
@@ -34,7 +37,7 @@ to its left in the same operand is also size 1 or absent.
 
 Allocator policy: importing this module fixes glibc's malloc thresholds for
 the process, M_MMAP_THRESHOLD at 32 MiB and M_TRIM_THRESHOLD at 256 MiB.
-A tape's buffers are freed at the end of each step and the next step
+A tape's buffers are freed during each step's backward and the next step
 allocates the same sizes again. Under glibc's defaults the large ones are
 mmapped and unmapped, or trimmed off the heap, so every step faults them
 back in: about 7,800 minor faults per batch-8 source step of the default
@@ -83,7 +86,7 @@ class Tape:
     __slots__ = ("nodes",)
 
     def __init__(self):
-        self.nodes: list[TapeNode] = []
+        self.nodes: list[TapeNode | None] = []   # None once backward consumed it
 
     def __len__(self) -> int:
         return len(self.nodes)
@@ -682,16 +685,22 @@ def l1_masked(pred, target, mask) -> Tensor:
 def backward(loss: Tensor) -> None:
     """Accumulate d(loss)/d(leaf) into `.grad` of every reachable leaf.
 
-    The loss must be a scalar recorded on a tape. Repeated calls accumulate
-    into leaf gradients; intermediate gradients are local to each call.
+    The loss must be a scalar recorded on a tape, and the tape must not have
+    been walked before: the walk frees each node once its VJP has run (see
+    the module docstring). Separate tapes accumulate into leaf gradients;
+    intermediate gradients are local to each call.
     """
     if loss.tape is None:
         raise GraphError("backward: loss is not recorded on any tape")
     if loss.data.shape != ():
         raise ShapeError(f"backward: loss must be scalar, got shape {loss.data.shape}")
     tape = loss.tape
+    nodes = tape.nodes
+    if not nodes or None in nodes:
+        raise GraphError("backward: the tape was consumed by an earlier backward")
     flow: dict[int, np.ndarray] = {id(loss): np.ones(())}
-    for node in reversed(tape.nodes):
+    for i in range(len(nodes) - 1, -1, -1):
+        node, nodes[i] = nodes[i], None
         g_out = flow.pop(id(node.output), None)
         if g_out is None:
             continue

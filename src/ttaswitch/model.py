@@ -392,8 +392,10 @@ def masked_backward(image, labels, patch_mask: np.ndarray, params: ParamStore,
                     config: ModelConfig) -> tuple[float, float, float]:
     """Gradients of the masked objective; returns (total, seg, rec) as floats.
 
-    Records `masked_losses` on a fresh tape, backpropagates their sum (one
-    addition) into `.grad`, and releases the tape on every exit, raises too.
+    Records `masked_losses` on a fresh tape and backpropagates their sum (one
+    addition) into `.grad`. The backward frees each node once its VJP has
+    run, so the step's peak never holds the whole tape and every gradient at
+    once; a raise releases what is left of the tape.
     """
     tape = ad.Tape()
     try:
@@ -402,7 +404,7 @@ def masked_backward(image, labels, patch_mask: np.ndarray, params: ParamStore,
             loss_total = add(loss_seg, loss_rec)
             ad.backward(loss_total)
     finally:
-        tape.nodes.clear()   # break the tape -> node -> tensor -> tape cycle now
+        tape.nodes.clear()   # after a raise, break the tape -> node -> tensor -> tape cycle
     return float(loss_total.data), float(loss_seg.data), float(loss_rec.data)
 
 

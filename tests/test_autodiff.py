@@ -1,5 +1,6 @@
 import itertools
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -287,13 +288,46 @@ def test_backward_requires_scalar_and_tape():
 
 
 def test_backward_accumulates_across_calls():
+    # Two recordings of one forward accumulate; each tape serves one backward.
     w = Tensor(np.array([[1.0, -2.0]]), requires_grad=True)
     with recording():
-        loss = mean(mul(w, w))
-    backward(loss)
+        first = mean(mul(w, w))
+    with recording() as tape:
+        second = mean(mul(w, w))
+    backward(first)
     g1 = w.grad.copy()
+    backward(second)
+    assert np.array_equal(w.grad, 2.0 * g1)
+    assert tape.nodes == [None, None]   # consumed, at its recorded length
+    with pytest.raises(GraphError, match="consumed"):
+        backward(second)
+    tape.nodes.clear()
+    with pytest.raises(GraphError, match="consumed"):
+        backward(second)
+    assert np.array_equal(w.grad, 2.0 * g1)
+
+
+def test_backward_frees_each_node_after_its_vjp():
+    # gelu's cdf lives only in its VJP closure, so it is gone before the walk
+    # reaches the scalar_mul below it.
+    x = Tensor(np.linspace(-2.0, 2.0, 8), requires_grad=True)
+    with recording() as tape:
+        loss = mean(gelu(scalar_mul(x, 3.0)))
+    assert [n.op for n in tape.nodes] == ["scalar_mul", "gelu", "mean"]
+    vjp = tape.nodes[1].vjp
+    cdf = weakref.ref(vjp.__closure__[vjp.__code__.co_freevars.index("cdf")].cell_contents)
+    del vjp
+    bottom, freed = tape.nodes[0], []
+
+    def probe(g, vjp=bottom.vjp):
+        freed.append(cdf() is None)
+        return vjp(g)
+
+    bottom.vjp = probe
+    del bottom
     backward(loss)
-    assert np.allclose(w.grad, 2.0 * g1)
+    assert freed == [True]
+    assert np.isfinite(x.grad).all()
 
 
 def test_backward_fanout_sums_paths():

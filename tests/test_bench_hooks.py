@@ -10,7 +10,11 @@ import inspect
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from helpers import TINY
+from ttaswitch import autodiff, model
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -43,6 +47,27 @@ def test_tracer_restores_every_attribute_it_patches(bench):
     assert {("ttaswitch.harness", "load_checkpoint"),
             ("ttaswitch.source", "save_checkpoint")} <= names
     assert {("ttaswitch.model", op) for op in tracing.MODEL_OPS} <= names
+
+
+def test_traced_backward_tags_the_recorded_tape(bench):
+    # The backward consumes its tape; the tag still reads what was recorded.
+    tracing, _ = bench
+    store = model.init_params(TINY, seed=0)
+    image = np.random.default_rng(0).random((3, TINY.image_size, TINY.image_size))
+    labels = np.zeros(TINY.num_patches, dtype=np.int64)
+    mask = model.draw_mask(TINY.num_patches, TINY.mask_ratio, seed=0, step=0)
+    with autodiff.recording() as tape:
+        autodiff.add(*model.masked_losses(image, labels, mask, store, TINY)[:2])
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        model.masked_backward(image, labels, mask, store, TINY)
+    finally:
+        tracer.uninstall()
+    tags = [tag for name, *_, tag in tracer.spans if name == "autodiff.backward"]
+    assert len(tags) == 1
+    nodes, tape_bytes = tags[0]
+    assert nodes == len(tape) > 0 and tape_bytes > 0
 
 
 def test_workload_patch_targets_exist(bench):
